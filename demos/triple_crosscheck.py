@@ -9,7 +9,8 @@ carries a standard error.
 
 from hyperconc import BranchClass
 from hyperconc.analytics import round1_probabilities, total_success
-from hyperconc.oracle import enumerate_scheme, exact_iteration_tree, mc_estimate
+from hyperconc.oracle import enumerate_scheme, exact_iteration_tree
+from hyperconc.sampling import mc_estimate
 
 SCHEME, N, ALPHA_SQ, DELTA_SQ, ROUNDS = "a", 2, 0.8, 0.6, 3
 TRIALS = 50_000

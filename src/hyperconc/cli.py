@@ -20,7 +20,8 @@ import os
 import sys
 import tempfile
 
-from . import analytics, oracle
+from . import analytics, oracle, sampling
+from .errors import ConsistencyError
 from .protocol import classify_residual, BranchClass
 from .states import DofAmplitudes, GhzForm, PHOTON_CAP
 
@@ -111,7 +112,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.scheme == "b":
         _require(args.trials >= 2, "scheme b pools need at least 2 trials (copies)")
     _check_photon_budget(args.scheme, args.n, PHOTON_CAP)
-    report = oracle.mc_estimate(
+    report = sampling.mc_estimate(
         args.scheme, args.n, args.alpha_sq, args.delta_sq, args.rounds, args.trials, args.seed
     )
     doc = {
@@ -234,7 +235,7 @@ def _verify_checks(quick: bool, seed: int, tol_scale: float):
         ("b", 2, 0.7, 0.7, 2),
     ]
     for scheme, n, a, c, rounds in mc_configs:
-        report = oracle.mc_estimate(scheme, n, a, c, rounds, trials, seed)
+        report = sampling.mc_estimate(scheme, n, a, c, rounds, trials, seed)
         if scheme == "a":
             want = analytics.total_success(rounds, a, c)
         else:
@@ -324,6 +325,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -103,16 +104,20 @@ def _parity_probs(state: FullState, i: int, j: int, dof: Dof) -> tuple[float, np
     return p_even, mask
 
 
-def parity_branch(
-    state: FullState, i: int, j: int, dof: Dof, outcome: ParityOutcome
-) -> tuple[float, FullState | None]:
-    """Project onto one parity outcome for photons ``i`` and ``j``.
+def _forced_parity(p_even: float) -> ParityOutcome | None:
+    # An outcome whose rival is below MIN_BRANCH_PROBABILITY is certain and
+    # consumes no random draw.
+    if p_even < MIN_BRANCH_PROBABILITY:
+        return ParityOutcome.ODD
+    if 1.0 - p_even < MIN_BRANCH_PROBABILITY:
+        return ParityOutcome.EVEN
+    return None
 
-    Returns (probability, renormalized post state); the post state is ``None``
-    when the branch probability falls below ``MIN_BRANCH_PROBABILITY``.  Both
-    photons stay in the state: the check is nondestructive.
-    """
-    p_even, mask = _parity_probs(state, i, j, dof)
+
+def _parity_post(
+    state: FullState, outcome: ParityOutcome, p_even: float, mask: np.ndarray
+) -> tuple[float, FullState | None]:
+    """The one parity projection: (probability, renormalized post state)."""
     if outcome is ParityOutcome.EVEN:
         prob, keep = p_even, mask
     else:
@@ -123,23 +128,75 @@ def parity_branch(
     return prob, FullState(state.n_photons, amps / np.sqrt(prob))
 
 
+def parity_branch(
+    state: FullState, i: int, j: int, dof: Dof, outcome: ParityOutcome
+) -> tuple[float, FullState | None]:
+    """Project onto one parity outcome for photons ``i`` and ``j``.
+
+    Returns (probability, renormalized post state); the post state is ``None``
+    when the branch probability falls below ``MIN_BRANCH_PROBABILITY``.  Both
+    photons stay in the state: the check is nondestructive.
+    """
+    p_even, mask = _parity_probs(state, i, j, dof)
+    return _parity_post(state, outcome, p_even, mask)
+
+
 def parity_measure(
     state: FullState, i: int, j: int, dof: Dof, rng: RandomSource
 ) -> tuple[ParityOutcome, FullState]:
     """Sample a parity outcome and return it with the projected state."""
     p_even, mask = _parity_probs(state, i, j, dof)
-    if p_even < MIN_BRANCH_PROBABILITY:
-        outcome = ParityOutcome.ODD
-    elif 1.0 - p_even < MIN_BRANCH_PROBABILITY:
-        outcome = ParityOutcome.EVEN
-    else:
+    outcome = _forced_parity(p_even)
+    if outcome is None:
         outcome = ParityOutcome.EVEN if rng.uniform() < p_even else ParityOutcome.ODD
-    if outcome is ParityOutcome.EVEN:
-        prob, keep = p_even, mask
+    return outcome, _parity_post(state, outcome, p_even, mask)[1]
+
+
+def parity_draws(state: FullState, i: int, j: int, dof: Dof) -> int:
+    """Uniforms ``parity_measure`` draws on ``state``: 0 when forced, else 1."""
+    p_even, _ = _parity_probs(state, i, j, dof)
+    return int(_forced_parity(p_even) is None)
+
+
+# Next uniform of each listed member of a batch, in the members' order.
+Draw = Callable[[np.ndarray], np.ndarray]
+
+
+class RowDraws:
+    """A ``Draw`` over a matrix of uniforms: member m reads row m left to right."""
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        self.cursor = np.zeros(len(rows), dtype=np.intp)
+
+    def __call__(self, members: np.ndarray) -> np.ndarray:
+        u = self.rows[members, self.cursor[members]]
+        self.cursor[members] += 1
+        return u
+
+
+def parity_measure_batch(
+    state: FullState, i: int, j: int, dof: Dof, members: np.ndarray, draw: Draw
+) -> list[tuple[ParityOutcome, FullState, np.ndarray]]:
+    """``parity_measure`` for a batch of trials that all hold ``state``.
+
+    Each member draws its own uniform (none when the outcome is forced) and
+    compares it with the shared even probability.  Returns one entry per
+    outcome some member drew: the outcome, its post state (projected once),
+    and the members that drew it.
+    """
+    p_even, mask = _parity_probs(state, i, j, dof)
+    forced = _forced_parity(p_even)
+    if forced is not None:
+        splits = [(forced, members)]
     else:
-        prob, keep = 1.0 - p_even, ~mask
-    amps = np.where(keep, state.amplitudes, 0.0)
-    return outcome, FullState(state.n_photons, amps / np.sqrt(prob))
+        even = draw(members) < p_even
+        splits = [(ParityOutcome.EVEN, members[even]), (ParityOutcome.ODD, members[~even])]
+    return [
+        (outcome, _parity_post(state, outcome, p_even, mask)[1], subset)
+        for outcome, subset in splits
+        if subset.size
+    ]
 
 
 # Rows: the four diagonal readout vectors in the single-photon digit basis
@@ -167,6 +224,30 @@ def diagonal_components(state: FullState, photon: int) -> np.ndarray:
     return np.tensordot(resh, _DIAG_MATRIX.conj(), axes=([1], [1]))
 
 
+def _diagonal_post(state: FullState, comps: np.ndarray, k: int, prob: float) -> FullState:
+    """The one diagonal projection: outcome ``k``'s renormalized remainder."""
+    return FullState(state.n_photons - 1, comps[:, :, k].reshape(-1) / np.sqrt(prob))
+
+
+def _diagonal_pick(probs: np.ndarray, u):
+    """Sampled outcome index for a uniform ``u`` (a float or an array of them).
+
+    Outcomes below ``MIN_BRANCH_PROBABILITY`` are never picked.  ``u`` is
+    scaled by the eligible total and compared with the running sums, added
+    in outcome order; the first sum above it wins, and rounding that leaves
+    ``u`` past the last sum falls back to the last eligible outcome.
+    """
+    eligible = [k for k in range(4) if probs[k] >= MIN_BRANCH_PROBABILITY]
+    total = float(np.sum(probs[eligible]))
+    acc = 0.0
+    sums = []
+    for k in eligible:
+        acc += float(probs[k])
+        sums.append(acc)
+    pos = np.searchsorted(sums, u * total, side="right")
+    return np.asarray(eligible)[np.minimum(pos, len(eligible) - 1)]
+
+
 def diagonal_branch(
     state: FullState, photon: int, outcome: DiagonalOutcome
 ) -> tuple[float, FullState | None]:
@@ -181,25 +262,35 @@ def diagonal_branch(
     prob = float(np.sum(part.real**2 + part.imag**2))
     if prob < MIN_BRANCH_PROBABILITY:
         return max(prob, 0.0), None
-    return prob, FullState(state.n_photons - 1, part.reshape(-1) / np.sqrt(prob))
+    return prob, _diagonal_post(state, comps, k, prob)
+
+
+def _diagonal_probs(state: FullState, photon: int) -> tuple[np.ndarray, np.ndarray]:
+    comps = diagonal_components(state, photon)
+    return comps, np.sum(comps.real**2 + comps.imag**2, axis=(0, 1))
 
 
 def measure_diagonal(
     state: FullState, photon: int, rng: RandomSource
 ) -> tuple[DiagonalOutcome, FullState]:
     """Sample a diagonal readout of one photon; the photon leaves the state."""
-    comps = diagonal_components(state, photon)
-    probs = np.sum(comps.real**2 + comps.imag**2, axis=(0, 1))
-    eligible = [k for k in range(4) if probs[k] >= MIN_BRANCH_PROBABILITY]
-    total = float(np.sum(probs[eligible]))
-    u = rng.uniform() * total
-    acc = 0.0
-    pick = eligible[-1]
-    for k in eligible:
-        acc += float(probs[k])
-        if u < acc:
-            pick = k
-            break
-    part = comps[:, :, pick]
-    post = FullState(state.n_photons - 1, part.reshape(-1) / np.sqrt(probs[pick]))
-    return DIAGONAL_OUTCOMES[pick], post
+    comps, probs = _diagonal_probs(state, photon)
+    pick = int(_diagonal_pick(probs, rng.uniform()))
+    return DIAGONAL_OUTCOMES[pick], _diagonal_post(state, comps, pick, probs[pick])
+
+
+def measure_diagonal_batch(
+    state: FullState, photon: int, members: np.ndarray, draw: Draw
+) -> list[tuple[DiagonalOutcome, FullState, np.ndarray]]:
+    """``measure_diagonal`` for a batch of trials that all hold ``state``.
+
+    Every member draws one uniform.  Returns one entry per outcome some
+    member drew: the outcome, its post state (projected once), and the
+    members that drew it.
+    """
+    comps, probs = _diagonal_probs(state, photon)
+    picks = _diagonal_pick(probs, draw(members))
+    return [
+        (DIAGONAL_OUTCOMES[k], _diagonal_post(state, comps, k, probs[k]), members[picks == k])
+        for k in sorted(set(picks.tolist()))
+    ]

@@ -15,32 +15,22 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ConsistencyError
 from .measurement import (
     DIAGONAL_OUTCOMES,
     MIN_BRANCH_PROBABILITY,
     ParityOutcome,
-    RandomSource,
     parity_branch,
 )
-from .protocol import BranchClass, iterate_scheme_a, iterate_scheme_b_pool
+from .protocol import BranchClass, check_scheme
 from .states import (
     Dof,
-    DofAmplitudes,
     FullState,
-    GhzForm,
     _bit_mask,
     _bit_shift,
 )
 
 ORACLE_PHOTON_CAP = 8
-
-SCHEMES = ("a", "b")
-
-
-def _check_scheme(scheme: str) -> str:
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    return scheme
 
 
 def _basis_index(n: int, pol_bit: int, spa_bit: int) -> int:
@@ -142,7 +132,7 @@ def enumerate_scheme(
     ``alpha_sq`` and ``delta_sq`` are the squared first coefficients of the
     working state; amplitudes are taken real and nonnegative.
     """
-    _check_scheme(scheme)
+    check_scheme(scheme)
     if n < 2:
         raise ValueError("the working state needs at least two photons")
 
@@ -279,14 +269,14 @@ def exact_iteration_tree(
             spa_even = leaf.branch in (BranchClass.EE, BranchClass.OE)
             if (pol_fixed or pol_even) and (spa_fixed or spa_even):
                 if not leaf.succeeded:
-                    raise ValueError("a leaf counted as success is not maximal")
+                    raise ConsistencyError("a leaf counted as success is not maximal")
                 success += mass * leaf.probability
                 continue
             key = (pol_fixed or pol_even, spa_fixed or spa_even)
             if key in entries:
                 m0, p0, s0 = entries[key]
                 if abs(p0 - leaf.pol_sq) > agree_tol or abs(s0 - leaf.spa_sq) > agree_tol:
-                    raise ValueError("residual coefficients disagree within one pool")
+                    raise ConsistencyError("residual coefficients disagree within one pool")
                 entries[key] = (m0 + mass * leaf.probability, p0, s0)
             else:
                 entries[key] = (mass * leaf.probability, leaf.pol_sq, leaf.spa_sq)
@@ -302,86 +292,3 @@ def exact_iteration_tree(
             p_round += absorb(tree, mass, pol_fixed, spa_fixed)
         per_round.append(p_round)
     return per_round
-
-
-@dataclass(frozen=True)
-class McReport:
-    """Monte Carlo estimate of the iterated success rate."""
-
-    scheme: str
-    n: int
-    alpha_sq: float
-    delta_sq: float
-    max_rounds: int
-    trials: int
-    seed: int
-    successes: int
-    success_rate: float
-    standard_error: float
-    per_round_success_counts: tuple[int, ...]
-    residual_class_counts: dict[str, int]
-
-
-def mc_estimate(
-    scheme: str,
-    n: int,
-    alpha_sq: float,
-    delta_sq: float,
-    max_rounds: int,
-    trials: int,
-    seed: int = 0,
-) -> McReport:
-    """Sampled success rate of the iteration.
-
-    Scheme a runs ``trials`` independent traces, each on its own substream
-    derived from (seed, trial index).  Scheme b runs one pool of ``trials``
-    initial copies; its rate counts distilled states per initial copy, which
-    the pairing of retries keeps below the per-trace rate of scheme a.
-    ``residual_class_counts`` tallies unconcentrated terminal states by
-    family: eo polarization settled, oe spatial settled, oo neither.
-    """
-    _check_scheme(scheme)
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    template = GhzForm(
-        n,
-        DofAmplitudes.from_first_probability(alpha_sq),
-        DofAmplitudes.from_first_probability(delta_sq),
-    )
-    master = RandomSource(seed)
-    per_round = [0] * max_rounds
-    residual_counts: dict[str, int] = {}
-    if scheme == "a":
-        successes = 0
-        for t in range(trials):
-            trace = iterate_scheme_a(template, max_rounds, master.derive(t))
-            if trace.succeeded:
-                successes += 1
-                per_round[trace.success_round - 1] += 1
-            else:
-                branches = [r.branch for r in trace.rounds]
-                label = ("e" if BranchClass.EO in branches else "o") + (
-                    "e" if BranchClass.OE in branches else "o"
-                )
-                residual_counts[label] = residual_counts.get(label, 0) + 1
-    else:
-        report = iterate_scheme_b_pool(trials, template, max_rounds, master)
-        successes = report.distilled
-        for stats in report.rounds:
-            per_round[stats.index - 1] = stats.successes
-        residual_counts.update(report.leftover_counts)
-    rate = successes / trials
-    return McReport(
-        scheme=scheme,
-        n=n,
-        alpha_sq=float(alpha_sq),
-        delta_sq=float(delta_sq),
-        max_rounds=max_rounds,
-        trials=trials,
-        seed=seed,
-        successes=successes,
-        success_rate=rate,
-        standard_error=math.sqrt(rate * (1.0 - rate) / trials),
-        per_round_success_counts=tuple(per_round),
-        residual_class_counts=dict(sorted(residual_counts.items())),
-    )

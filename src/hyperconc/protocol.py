@@ -24,17 +24,26 @@ the pool driver accounts for.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from .errors import ConsistencyError
 from .measurement import (
     DiagonalOutcome,
+    Draw,
     ParityOutcome,
     RandomSource,
+    RowDraws,
     measure_diagonal,
+    measure_diagonal_batch,
+    parity_branch,
+    parity_draws,
     parity_measure,
+    parity_measure_batch,
 )
 from .states import (
     BALANCED,
@@ -51,6 +60,16 @@ from .states import (
     prepare_ancilla,
     tensor,
 )
+
+
+SCHEMES = ("a", "b")
+
+
+def check_scheme(scheme: str) -> str:
+    """Return ``scheme`` if it names scheme a or b, else raise ``ValueError``."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    return scheme
 
 
 class BranchClass(Enum):
@@ -180,6 +199,60 @@ def run_scheme_b_round(copy1: GhzForm, copy2: GhzForm, rng: RandomSource) -> Rou
     return _finish_round(joint, pol_out, spa_out, tuple(outcomes))
 
 
+# One outcome record of a batched round: branch, diagonal outcomes, the
+# survivor before corrections, and the members that drew this record.
+BatchRecord = tuple[BranchClass, tuple[DiagonalOutcome, ...], FullState, np.ndarray]
+
+
+def _readouts_batch(
+    state: FullState, photon: int, count: int, members: np.ndarray, draw: Draw
+) -> list[tuple[tuple[DiagonalOutcome, ...], FullState, np.ndarray]]:
+    # ``count`` diagonal readouts of ``photon`` in a row, each on the state
+    # the previous one left: (outcomes, final state, members) per record.
+    if count == 0:
+        return [((), state, members)]
+    return [
+        ((outcome,) + rest, final, leaf)
+        for outcome, post, sub in measure_diagonal_batch(state, photon, members, draw)
+        for rest, final, leaf in _readouts_batch(post, photon, count - 1, sub, draw)
+    ]
+
+
+def run_round_batch(
+    joint: FullState, n: int, readouts: int, members: np.ndarray, draw: Draw
+) -> list[BatchRecord]:
+    """One round for a batch of trials that all hold the joint state ``joint``.
+
+    The steps are those of :func:`run_scheme_a_round` (``readouts`` = 1) and
+    :func:`run_scheme_b_round` (``readouts`` = n): parity checks on photons
+    0 and ``n``, then diagonal readouts of photon ``n``.  Each member takes
+    its uniforms from ``draw`` in the order the single-trial round takes
+    them from its stream, and every state is built once per distinct
+    outcome, not once per member.  The sign corrections and the extraction
+    of the survivor's form are left out: the iteration loops read only
+    the branch, and ``_finish_round`` applies them to a record on demand.
+    """
+    records = []
+    for pol_out, after_pol, m_pol in parity_measure_batch(
+        joint, 0, n, Dof.POLARIZATION, members, draw
+    ):
+        for spa_out, after_spa, m_spa in parity_measure_batch(
+            after_pol, 0, n, Dof.SPATIAL, m_pol, draw
+        ):
+            branch = BranchClass.from_parities(pol_out, spa_out)
+            for diag, survivor, m in _readouts_batch(after_spa, n, readouts, m_spa, draw):
+                records.append((branch, diag, survivor, m))
+    return records
+
+
+def members_by_branch(records: Iterable[BatchRecord]) -> dict[BranchClass, np.ndarray]:
+    """Merge the members of round records that share a branch class."""
+    parts: dict[BranchClass, list[np.ndarray]] = defaultdict(list)
+    for branch, _, _, members in records:
+        parts[branch].append(members)
+    return {branch: np.concatenate(p) for branch, p in parts.items()}
+
+
 def classify_residual(branch: BranchClass, state: GhzForm) -> GhzForm:
     """Residual family for a failed branch.
 
@@ -281,6 +354,67 @@ class PoolReport:
     pairs_attempted: int
 
 
+# Pairs of one pool bucket simulated together; bounds the uniforms drawn at once.
+_PAIR_BLOCK = 4096
+
+
+def _pair_draws(joint: FullState, n: int) -> tuple[float, dict[ParityOutcome, int]]:
+    """What one pair of a two-copy round on ``joint`` draws.
+
+    Returns the even probability of the polarization check and, for every
+    outcome that check can take, the uniforms the pair consumes in all: one
+    per unforced parity check and one per diagonal readout.
+    """
+    p_even = 0.0
+    after: dict[ParityOutcome, int] = {}
+    for outcome in ParityOutcome:
+        prob, post = parity_branch(joint, 0, n, Dof.POLARIZATION, outcome)
+        if outcome is ParityOutcome.EVEN:
+            p_even = prob
+        if post is not None:
+            after[outcome] = parity_draws(post, 0, n, Dof.SPATIAL) + n
+    pol_draws = int(len(after) == 2)
+    return p_even, {outcome: pol_draws + k for outcome, k in after.items()}
+
+
+def _pair_uniforms(
+    rng: RandomSource, pairs: int, p_even: float, draws: dict[ParityOutcome, int]
+) -> np.ndarray:
+    """The next ``pairs`` pairs' uniforms from ``rng``, one row per pair."""
+    widths = set(draws.values())
+    if len(widths) == 1:
+        return rng.uniforms(pairs * widths.pop()).reshape(pairs, -1)
+    # The spatial check is forced after one polarization outcome only, so a
+    # pair's draw count depends on its own polarization draw: walk the pairs.
+    rows = np.zeros((pairs, max(widths)))
+    for row in rows:
+        row[0] = rng.uniform()
+        outcome = ParityOutcome.EVEN if row[0] < p_even else ParityOutcome.ODD
+        rest = draws[outcome] - 1
+        row[1 : 1 + rest] = rng.uniforms(rest)
+    return rows
+
+
+def _bucket_rounds(g: GhzForm, pairs: int, rng: RandomSource) -> Iterator[BatchRecord]:
+    """``pairs`` calls of ``run_scheme_b_round(g, g, rng)`` in a row, batched.
+
+    Yields the outcome records; their members are pair indices.  ``rng`` is
+    consumed exactly as by the calls one after another: pair by pair, each
+    pair's draws in order.
+    """
+    g = g.signs_folded()
+    n = g.n
+    joint = tensor(ghz_to_full(g), ghz_to_full(flip_copy(g)))
+    p_even, draws = _pair_draws(joint, n)
+    for start in range(0, pairs, _PAIR_BLOCK):
+        size = min(_PAIR_BLOCK, pairs - start)
+        rows = RowDraws(_pair_uniforms(rng, size, p_even, draws))
+        for branch, diag, survivor, members in run_round_batch(
+            joint, n, n, np.arange(size), rows
+        ):
+            yield branch, diag, survivor, members + start
+
+
 def iterate_scheme_b_pool(
     count: int, template: GhzForm, max_rounds: int, rng: RandomSource
 ) -> PoolReport:
@@ -291,11 +425,20 @@ def iterate_scheme_b_pool(
     same family merge even when different branches produced them, while an
     unpaired leftover stays in its bucket and can never mix with the
     (differently squared) residuals of later rounds.
+
+    The pairs of a bucket are simulated together (see
+    :func:`run_round_batch`), and the results equal those of running
+    ``run_scheme_b_round`` pair by pair, buckets in creation order, on
+    ``rng``: new buckets and residual tallies enter in the order of the
+    first pair that produces them, and a merged bucket keeps the state of
+    its first contributor.
     """
     if count < 2:
         raise ValueError("the pool needs at least two copies")
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
+    if template.n < 2:
+        raise ValueError("scheme B needs at least two photons per copy")
     BucketKey = tuple[bool, bool, int]  # (pol settled, spa settled, birth round)
     buckets: dict[BucketKey, tuple[GhzForm, int]] = {
         (False, False, 0): (template.signs_folded(), count)
@@ -304,6 +447,11 @@ def iterate_scheme_b_pool(
     distilled = 0
     pairs_attempted = 0
     for r in range(1, max_rounds + 1):
+        if all(cnt < 2 for _, cnt in buckets.values()):
+            # No pairs are left, so no later round attempts or moves anything.
+            rounds.extend(PoolRound(index=i, attempts=0, successes=0)
+                          for i in range(r, max_rounds + 1))
+            break
         stats = PoolRound(index=r, attempts=0, successes=0)
         new_buckets: dict[BucketKey, tuple[GhzForm, int]] = {}
 
@@ -318,30 +466,33 @@ def iterate_scheme_b_pool(
         for (pol_fixed, spa_fixed, birth), (g, cnt) in buckets.items():
             # odd leftover carries, stranded in its bucket
             _add((pol_fixed, spa_fixed, birth), g, cnt % 2)
-            for _ in range(cnt // 2):
-                res = run_scheme_b_round(g, g, rng)
-                stats.attempts += 1
-                pairs_attempted += 1
-                if branch_concentrates(res.branch, pol_fixed, spa_fixed):
-                    stats.successes += 1
-                    distilled += 1
+            if cnt < 2:
+                continue
+            residuals: dict[BranchClass, tuple[int, int]] = {}  # (first pair, pairs)
+            branches = members_by_branch(_bucket_rounds(g, cnt // 2, rng))
+            for branch, pairs in branches.items():
+                stats.attempts += len(pairs)
+                pairs_attempted += len(pairs)
+                if branch_concentrates(branch, pol_fixed, spa_fixed):
+                    stats.successes += len(pairs)
+                    distilled += len(pairs)
                 else:
-                    stats.residual_counts[res.branch] = (
-                        stats.residual_counts.get(res.branch, 0) + 1
-                    )
-                    key = (
-                        pol_fixed or res.branch is BranchClass.EO,
-                        spa_fixed or res.branch is BranchClass.OE,
-                        r,
-                    )
-                    _add(key, classify_residual(res.branch, g), 1)
+                    residuals[branch] = (int(pairs.min()), len(pairs))
+            for branch, (_, k) in sorted(residuals.items(), key=lambda item: item[1][0]):
+                stats.residual_counts[branch] = stats.residual_counts.get(branch, 0) + k
+                key = (
+                    pol_fixed or branch is BranchClass.EO,
+                    spa_fixed or branch is BranchClass.OE,
+                    r,
+                )
+                _add(key, classify_residual(branch, g), k)
         rounds.append(stats)
         buckets = new_buckets
     leftover_counts: dict[str, int] = {}
     for (pol_fixed, spa_fixed, _), (_, cnt) in buckets.items():
         label = ("e" if pol_fixed else "o") + ("e" if spa_fixed else "o")
         if label == "ee":  # both settled cannot persist as a residual
-            raise AssertionError("a fully settled state survived the pool")
+            raise ConsistencyError("a fully settled state survived the pool")
         leftover_counts[label] = leftover_counts.get(label, 0) + cnt
     return PoolReport(
         initial_count=count,

@@ -1,0 +1,205 @@
+"""Seeded Monte Carlo estimates of the iterated success rate.
+
+Scheme a runs independent traces, trial ``t`` on the substream derived from
+(seed, t); scheme b runs one pool on the master stream of the seed (see
+:func:`~hyperconc.protocol.iterate_scheme_b_pool`).
+
+Traces are simulated breadth first.  In each round the trials that hold the
+same working state and settled flags form a group; the group's dense states
+are built once per distinct outcome record, and each trial picks its
+outcomes by comparing its own uniforms with the group's branch
+probabilities.  Every trial consumes its substream exactly as
+:func:`~hyperconc.protocol.iterate_scheme_a` would, so the report equals
+that of running the traces one by one.  Each call replays its trial 0
+through ``iterate_scheme_a`` and raises :class:`ConsistencyError` when the
+two disagree.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import defaultdict
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import ConsistencyError
+from .measurement import RandomSource, RowDraws
+from .protocol import (
+    BranchClass,
+    IterationTrace,
+    branch_concentrates,
+    check_scheme,
+    classify_residual,
+    iterate_scheme_a,
+    iterate_scheme_b_pool,
+    members_by_branch,
+    run_round_batch,
+)
+from .states import DofAmplitudes, GhzForm, ghz_to_full, prepare_ancilla, tensor
+
+# Scheme-a trials simulated together; bounds the live substreams and buffers.
+_TRIAL_BLOCK = 4096
+# Uniforms one scheme-a round draws at most (two parity checks, one readout),
+# and the most rounds' worth buffered per trial between refills.
+_ROUND_DRAWS = 3
+_BUFFERED_ROUNDS = 4
+# Residual family of a failed trace by its settled flags, 2 * pol + spa.
+_FAMILIES = ("oo", "oe", "eo", "ee")
+
+
+@dataclass(frozen=True)
+class McReport:
+    """Monte Carlo estimate of the iterated success rate."""
+
+    scheme: str
+    n: int
+    alpha_sq: float
+    delta_sq: float
+    max_rounds: int
+    trials: int
+    seed: int
+    successes: int
+    success_rate: float
+    standard_error: float
+    per_round_success_counts: tuple[int, ...]
+    residual_class_counts: dict[str, int]
+
+
+class _TrialDraws(RowDraws):
+    """Uniforms of one block of trials: row t buffers its trial's substream.
+
+    A trial reads nothing but its own substream, so uniforms buffered past
+    its last round are simply never used.
+    """
+
+    def __init__(self, master: RandomSource, start: int, count: int, max_rounds: int):
+        self.sources = [master.derive(t) for t in range(start, start + count)]
+        width = _ROUND_DRAWS * min(max_rounds, _BUFFERED_ROUNDS)
+        super().__init__(np.stack([s.uniforms(width) for s in self.sources]))
+
+    def refill(self, members: np.ndarray) -> None:
+        """Leave every member at least one round's worth of unread uniforms."""
+        width = self.rows.shape[1]
+        for t in members[self.cursor[members] > width - _ROUND_DRAWS]:
+            used = self.cursor[t]
+            self.rows[t] = np.concatenate((self.rows[t, used:], self.sources[t].uniforms(used)))
+            self.cursor[t] = 0
+
+
+def _trace_block(
+    template: GhzForm, max_rounds: int, draws: _TrialDraws
+) -> tuple[np.ndarray, np.ndarray]:
+    """``iterate_scheme_a`` for every trial of one block, breadth first.
+
+    Returns each trial's success round (0 when every round failed) and its
+    final settled flags as 2 * pol + spa.
+    """
+    count = len(draws.rows)
+    success = np.zeros(count, dtype=np.intp)
+    settled = np.zeros(count, dtype=np.intp)
+    groups = {(template.signs_folded(), False, False): np.arange(count)}
+    for k in range(1, max_rounds + 1):
+        if not groups:
+            break
+        parts: dict[tuple[GhzForm, bool, bool], list[np.ndarray]] = defaultdict(list)
+        for (g, pol_fixed, spa_fixed), members in groups.items():
+            draws.refill(members)
+            joint = tensor(ghz_to_full(g), ghz_to_full(prepare_ancilla(g.pol, g.spa)))
+            records = run_round_batch(joint, g.n, 1, members, draws)
+            for branch, m in members_by_branch(records).items():
+                if branch_concentrates(branch, pol_fixed, spa_fixed):
+                    success[m] = k
+                    continue
+                key = (
+                    classify_residual(branch, g),
+                    pol_fixed or branch in (BranchClass.EE, BranchClass.EO),
+                    spa_fixed or branch in (BranchClass.EE, BranchClass.OE),
+                )
+                parts[key].append(m)
+        groups = {key: np.concatenate(p) for key, p in parts.items()}
+    for (_, pol_fixed, spa_fixed), members in groups.items():
+        settled[members] = 2 * pol_fixed + spa_fixed
+    return success, settled
+
+
+def _trace_record(trace: IterationTrace) -> tuple[int, str | None]:
+    """(success round or 0, residual family of a failed trace)."""
+    if trace.succeeded:
+        return trace.success_round, None
+    branches = [r.branch for r in trace.rounds]
+    label = ("e" if BranchClass.EO in branches else "o") + (
+        "e" if BranchClass.OE in branches else "o"
+    )
+    return 0, label
+
+
+def mc_estimate(
+    scheme: str,
+    n: int,
+    alpha_sq: float,
+    delta_sq: float,
+    max_rounds: int,
+    trials: int,
+    seed: int = 0,
+) -> McReport:
+    """Sampled success rate of the iteration.
+
+    Scheme a runs ``trials`` independent traces, each on its own substream
+    derived from (seed, trial index).  Scheme b runs one pool of ``trials``
+    initial copies; its rate counts distilled states per initial copy, which
+    the pairing of retries keeps below the per-trace rate of scheme a.
+    ``residual_class_counts`` tallies unconcentrated terminal states by
+    family: eo polarization settled, oe spatial settled, oo neither.
+    """
+    check_scheme(scheme)
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    template = GhzForm(
+        n,
+        DofAmplitudes.from_first_probability(alpha_sq),
+        DofAmplitudes.from_first_probability(delta_sq),
+    )
+    master = RandomSource(seed)
+    per_round = [0] * max_rounds
+    residual_counts: dict[str, int] = {}
+    if scheme == "a":
+        replay = _trace_record(iterate_scheme_a(template, max_rounds, master.derive(0)))
+        for start in range(0, trials, _TRIAL_BLOCK):
+            draws = _TrialDraws(master, start, min(_TRIAL_BLOCK, trials - start), max_rounds)
+            success, settled = _trace_block(template, max_rounds, draws)
+            if start == 0:
+                first = int(success[0])
+                record = (first, None if first else _FAMILIES[settled[0]])
+                if record != replay:
+                    raise ConsistencyError(
+                        f"trial 0 of seed {seed}: the batched sampler gives {record}, "
+                        f"its single-trace replay {replay}"
+                    )
+            for k, hits in enumerate(np.bincount(success)[1:], start=1):
+                per_round[k - 1] += int(hits)
+            for family, left in zip(_FAMILIES, np.bincount(settled[success == 0], minlength=4)):
+                if left:
+                    residual_counts[family] = residual_counts.get(family, 0) + int(left)
+        successes = sum(per_round)
+    else:
+        report = iterate_scheme_b_pool(trials, template, max_rounds, master)
+        successes = report.distilled
+        for stats in report.rounds:
+            per_round[stats.index - 1] = stats.successes
+        residual_counts.update(report.leftover_counts)
+    rate = successes / trials
+    return McReport(
+        scheme=scheme,
+        n=n,
+        alpha_sq=float(alpha_sq),
+        delta_sq=float(delta_sq),
+        max_rounds=max_rounds,
+        trials=trials,
+        seed=seed,
+        successes=successes,
+        success_rate=rate,
+        standard_error=math.sqrt(rate * (1.0 - rate) / trials),
+        per_round_success_counts=tuple(per_round),
+        residual_class_counts=dict(sorted(residual_counts.items())),
+    )

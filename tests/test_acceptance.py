@@ -35,7 +35,8 @@ from hyperconc.analytics import (
     total_success,
 )
 from hyperconc.measurement import parity_branch
-from hyperconc.oracle import enumerate_scheme, exact_iteration_tree, mc_estimate
+from hyperconc.oracle import enumerate_scheme, exact_iteration_tree
+from hyperconc.sampling import mc_estimate
 
 TRIALS_FULL = 100_000
 TRACES = 10_000
@@ -194,9 +195,9 @@ def test_criterion_06_monte_carlo_agreement():
     elapsed = time.perf_counter() - t0
     report(
         f"criterion 6: monte carlo at 1e5 trials: {'; '.join(lines)}; "
-        f"worst {worst_sigma:.2f} SE (limit 3), {elapsed:.0f}s (budget 120s)"
+        f"worst {worst_sigma:.2f} SE (limit 3), {elapsed:.0f}s (budget 30s)"
     )
-    assert elapsed < 120.0
+    assert elapsed < 30.0
 
 
 def test_criterion_07_success_state_exactness():

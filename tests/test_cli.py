@@ -1,11 +1,14 @@
 """Command line surface: formats, determinism, exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from hyperconc import BranchClass, IterationTrace, cli, oracle, protocol, sampling
 
 GOLDEN = Path(__file__).parent / "data" / "grid_r1_res3.csv"
 
@@ -156,3 +159,54 @@ class TestExitCodes:
         target = tmp_path / "missing" / "out.csv"
         run_cli("grid", "--resolution", "2", "--out", str(target))
         assert not target.exists()
+
+
+class TestConsistencyErrors:
+    """An internal disagreement exits 2 with one error line, never a traceback."""
+
+    SIMULATE_A = ["simulate", "--scheme", "a", "--n", "2", "--alpha-sq", "0.8",
+                  "--delta-sq", "0.6", "--rounds", "2", "--trials", "50"]
+    SIMULATE_B = ["simulate", "--scheme", "b", "--n", "2", "--alpha-sq", "0.7",
+                  "--delta-sq", "0.7", "--rounds", "3", "--trials", "400"]
+
+    @staticmethod
+    def run(argv, capsys):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return code, err
+
+    @staticmethod
+    def patch_leaves(monkeypatch, edit):
+        enumerate_scheme = oracle.enumerate_scheme
+
+        def patched(*args, **kwargs):
+            tree = enumerate_scheme(*args, **kwargs)
+            leaves = tuple(edit(i, leaf) for i, leaf in enumerate(tree.leaves))
+            return dataclasses.replace(tree, leaves=leaves)
+
+        monkeypatch.setattr(oracle, "enumerate_scheme", patched)
+
+    def test_trial_zero_replay_mismatch(self, monkeypatch, capsys):
+        monkeypatch.setattr(sampling, "iterate_scheme_a",
+                            lambda *args: IterationTrace((), True, 1, 99))
+        code, err = self.run(self.SIMULATE_A, capsys)
+        assert code == 2 and "single-trace replay" in err
+
+    def test_settled_state_survives_pool(self, monkeypatch, capsys):
+        monkeypatch.setattr(protocol, "branch_concentrates",
+                            lambda branch, pol, spa: branch is BranchClass.EE)
+        code, err = self.run(self.SIMULATE_B, capsys)
+        assert code == 2 and "fully settled state survived" in err
+
+    def test_success_leaf_not_maximal(self, monkeypatch, capsys):
+        self.patch_leaves(monkeypatch, lambda i, leaf: dataclasses.replace(leaf, succeeded=False))
+        code, err = self.run(["verify", "--quick"], capsys)
+        assert code == 2 and "not maximal" in err
+
+    def test_residual_coefficients_disagree(self, monkeypatch, capsys):
+        self.patch_leaves(
+            monkeypatch, lambda i, leaf: dataclasses.replace(leaf, pol_sq=leaf.pol_sq + 1e-6 * i)
+        )
+        code, err = self.run(["verify", "--quick"], capsys)
+        assert code == 2 and "coefficients disagree" in err

@@ -15,7 +15,8 @@ from hyperconc.analytics import (
     round_success_unrolled,
     total_success,
 )
-from hyperconc.oracle import enumerate_scheme, exact_iteration_tree, mc_estimate
+from hyperconc.oracle import enumerate_scheme, exact_iteration_tree
+from hyperconc.sampling import mc_estimate
 
 FROZEN_ROUND1 = {
     BranchClass.EE: 0.1536,

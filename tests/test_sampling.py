@@ -1,0 +1,308 @@
+"""Exactness of the breadth-first sampler.
+
+``mc_estimate`` and ``iterate_scheme_b_pool`` simulate groups of trials
+that share a state once per distinct outcome instead of once per trial.
+These tests pin that the batching changes no number: the CLI output bytes
+match a file recorded with the one-trial-at-a-time sampler that preceded
+it, and on random configurations the batched reports equal aggregates built
+here from the single-trace reference path.
+"""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hyperconc
+from hyperconc import (
+    BranchClass,
+    DofAmplitudes,
+    GhzForm,
+    ParityOutcome,
+    PoolReport,
+    PoolRound,
+    RandomSource,
+    branch_concentrates,
+    classify_residual,
+    flip_copy,
+    ghz_to_full,
+    iterate_scheme_a,
+    iterate_scheme_b_pool,
+    prepare_ancilla,
+    run_scheme_b_round,
+    tensor,
+)
+from hyperconc import cli, protocol, sampling
+from hyperconc.measurement import RowDraws
+from hyperconc.protocol import run_round_batch
+from hyperconc.sampling import McReport, mc_estimate
+
+GOLDEN_SIMULATE = Path(__file__).parent / "data" / "simulate_golden.txt"
+HEADER = "$ hyperconc simulate "
+
+SEEDS = (1, 7)
+# (alpha_sq, delta_sq, rounds, trials)
+SCHEME_A_CASES = (
+    (0.8, 0.6, 2, 200),
+    (0.5, 0.5, 5, 200),
+    (0.3, 0.9, 3, 200),
+    (0.0, 0.6, 3, 60),
+    (1.0, 0.6, 3, 60),
+    (0.8, 0.0, 3, 60),
+    (0.8, 1.0, 3, 60),
+    (0.0, 1.0, 2, 30),
+)
+SCHEME_B_CASES = (
+    (0.7, 0.7, 3, 3),
+    (0.7, 0.7, 3, 401),
+    (0.5, 0.5, 4, 200),
+    (0.8, 0.6, 2, 200),
+    (0.0, 0.6, 3, 101),
+    (0.6, 1.0, 2, 100),
+)
+
+
+def golden_cases():
+    """Argument lists of every recorded ``hyperconc simulate`` call."""
+    for scheme, ns, cases in (("a", (2, 3, 4), SCHEME_A_CASES), ("b", (2, 3), SCHEME_B_CASES)):
+        for n in ns:
+            for a, d, k, trials in cases:
+                for seed in SEEDS:
+                    yield [
+                        "--scheme", scheme, "--n", str(n), "--alpha-sq", repr(a),
+                        "--delta-sq", repr(d), "--rounds", str(k), "--trials", str(trials),
+                        "--seed", str(seed),
+                    ]
+
+
+def render_simulate(out: Path) -> dict[str, bytes]:
+    """Output bytes of every golden case, keyed by its argument line."""
+    outputs = {}
+    for argv in golden_cases():
+        code = cli.main(["simulate", *argv, "--out", str(out)])
+        assert code == 0, argv
+        outputs[" ".join(argv)] = out.read_bytes()
+    return outputs
+
+
+def read_golden(path: Path) -> dict[str, bytes]:
+    """The golden file: per case, ``HEADER`` and its arguments on one line,
+    then the case's output bytes."""
+    outputs = {}
+    for chunk in path.read_bytes().split(HEADER.encode())[1:]:
+        key, data = chunk.split(b"\n", 1)
+        outputs[key.decode()] = data
+    return outputs
+
+
+def test_simulate_bytes_match_golden(tmp_path):
+    want = read_golden(GOLDEN_SIMULATE)
+    got = render_simulate(tmp_path / "case.json")
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key] == want[key], key
+
+
+def ghz(n, alpha_sq, delta_sq):
+    return GhzForm(
+        n,
+        DofAmplitudes.from_first_probability(alpha_sq),
+        DofAmplitudes.from_first_probability(delta_sq),
+    )
+
+
+def sequential_pool(count, template, max_rounds, rng):
+    """``iterate_scheme_b_pool`` as it ran before batching: one round per pair."""
+    buckets = {(False, False, 0): (template.signs_folded(), count)}
+    rounds = []
+    distilled = 0
+    pairs_attempted = 0
+    for r in range(1, max_rounds + 1):
+        stats = PoolRound(index=r, attempts=0, successes=0)
+        new_buckets = {}
+
+        def _add(key, g, k):
+            if k <= 0:
+                return
+            if key in new_buckets:
+                new_buckets[key] = (new_buckets[key][0], new_buckets[key][1] + k)
+            else:
+                new_buckets[key] = (g, k)
+
+        for (pol_fixed, spa_fixed, birth), (g, cnt) in buckets.items():
+            _add((pol_fixed, spa_fixed, birth), g, cnt % 2)
+            for _ in range(cnt // 2):
+                res = run_scheme_b_round(g, g, rng)
+                stats.attempts += 1
+                pairs_attempted += 1
+                if branch_concentrates(res.branch, pol_fixed, spa_fixed):
+                    stats.successes += 1
+                    distilled += 1
+                else:
+                    stats.residual_counts[res.branch] = (
+                        stats.residual_counts.get(res.branch, 0) + 1
+                    )
+                    key = (
+                        pol_fixed or res.branch is BranchClass.EO,
+                        spa_fixed or res.branch is BranchClass.OE,
+                        r,
+                    )
+                    _add(key, classify_residual(res.branch, g), 1)
+        rounds.append(stats)
+        buckets = new_buckets
+    leftover_counts = {}
+    for (pol_fixed, spa_fixed, _), (_, cnt) in buckets.items():
+        label = ("e" if pol_fixed else "o") + ("e" if spa_fixed else "o")
+        leftover_counts[label] = leftover_counts.get(label, 0) + cnt
+    return PoolReport(
+        initial_count=count,
+        max_rounds=max_rounds,
+        rounds=rounds,
+        distilled=distilled,
+        leftovers=sum(leftover_counts.values()),
+        leftover_counts=dict(sorted(leftover_counts.items())),
+        pairs_attempted=pairs_attempted,
+    )
+
+
+def reference_estimate(scheme, n, alpha_sq, delta_sq, max_rounds, trials, seed):
+    """``mc_estimate`` aggregated trial by trial from the single-trace reference path."""
+    template = ghz(n, alpha_sq, delta_sq)
+    master = RandomSource(seed)
+    per_round = [0] * max_rounds
+    residual = {}
+    if scheme == "a":
+        for t in range(trials):
+            trace = iterate_scheme_a(template, max_rounds, master.derive(t))
+            if trace.succeeded:
+                per_round[trace.success_round - 1] += 1
+            else:
+                branches = [r.branch for r in trace.rounds]
+                label = ("e" if BranchClass.EO in branches else "o") + (
+                    "e" if BranchClass.OE in branches else "o"
+                )
+                residual[label] = residual.get(label, 0) + 1
+    else:
+        report = sequential_pool(trials, template, max_rounds, master)
+        per_round = [stats.successes for stats in report.rounds]
+        residual = dict(report.leftover_counts)
+    rate = sum(per_round) / trials
+    return McReport(
+        scheme=scheme,
+        n=n,
+        alpha_sq=float(alpha_sq),
+        delta_sq=float(delta_sq),
+        max_rounds=max_rounds,
+        trials=trials,
+        seed=seed,
+        successes=sum(per_round),
+        success_rate=rate,
+        standard_error=math.sqrt(rate * (1.0 - rate) / trials),
+        per_round_success_counts=tuple(per_round),
+        residual_class_counts=dict(sorted(residual.items())),
+    )
+
+
+# The corners and near-corners of the parameter square, plus any float.
+unit = st.one_of(st.sampled_from((0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0)), st.floats(0.0, 1.0))
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestBatchedEqualsReference:
+    @given(n=st.integers(2, 4), a=unit, d=unit, k=st.integers(1, 5),
+           trials=st.integers(2, 60), seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_scheme_a(self, n, a, d, k, trials, seed):
+        got = mc_estimate("a", n, a, d, k, trials, seed)
+        assert got == reference_estimate("a", n, a, d, k, trials, seed)
+
+    @given(n=st.integers(2, 4), a=unit, d=unit, k=st.integers(1, 5),
+           trials=st.integers(2, 60), seed=seeds)
+    @settings(max_examples=20, deadline=None)
+    def test_scheme_b(self, n, a, d, k, trials, seed):
+        got = mc_estimate("b", n, a, d, k, trials, seed)
+        assert got == reference_estimate("b", n, a, d, k, trials, seed)
+
+    @given(a=unit, d=unit, k=st.integers(1, 4), count=st.integers(2, 80), seed=seeds)
+    @settings(max_examples=20, deadline=None)
+    def test_pool_report(self, a, d, k, count, seed):
+        """Every field, including per-round tallies in insertion order."""
+        template = ghz(2, a, d)
+        got = iterate_scheme_b_pool(count, template, k, RandomSource(seed))
+        want = sequential_pool(count, template, k, RandomSource(seed))
+        assert got == want
+        assert [list(s.residual_counts) for s in got.rounds] == [
+            list(s.residual_counts) for s in want.rounds
+        ]
+
+    @pytest.mark.parametrize("a, d", [(0.0, 0.5), (0.5, 0.5), (0.9, 1e-12)])
+    def test_many_rounds_refill_trial_buffers(self, a, d):
+        """Traces that outlive the per-trial uniform buffer stay exact."""
+        assert mc_estimate("a", 2, a, d, 12, 40, 3) == reference_estimate("a", 2, a, d, 12, 40, 3)
+
+    def test_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_TRIAL_BLOCK", 7)
+        monkeypatch.setattr(protocol, "_PAIR_BLOCK", 3)
+        for scheme in ("a", "b"):
+            got = mc_estimate(scheme, 2, 0.7, 0.4, 3, 45, 11)
+            assert got == reference_estimate(scheme, 2, 0.7, 0.4, 3, 45, 11)
+
+    @pytest.mark.parametrize("a, n, d", [(0.3, 2, 5.0000000000000244e-15),
+                                         (0.5, 3, 5.0000000000000205e-15)])
+    def test_pool_with_pair_dependent_draw_count(self, a, n, d):
+        """The spatial check is forced after one polarization outcome only."""
+        g = ghz(n, a, d)
+        joint = tensor(ghz_to_full(g), ghz_to_full(flip_copy(g)))
+        _, draws = protocol._pair_draws(joint, n)
+        assert len(set(draws.values())) == 2
+        for seed in (0, 1, 2):
+            got = iterate_scheme_b_pool(61, g, 3, RandomSource(seed))
+            assert got == sequential_pool(61, g, 3, RandomSource(seed))
+
+
+@pytest.mark.parametrize("scheme, n", [("a", 2), ("a", 4), ("b", 2), ("b", 3)])
+def test_batched_successes_are_maximal_once_corrected(scheme, n):
+    """Every ee record of a batched round, corrected, is the maximal state."""
+    g = ghz(n, 0.8, 0.6)
+    resource = prepare_ancilla(g.pol, g.spa) if scheme == "a" else flip_copy(g)
+    joint = tensor(ghz_to_full(g), ghz_to_full(resource))
+    readouts = 1 if scheme == "a" else n
+    trials = 2000
+    rows = RowDraws(RandomSource(n).uniforms(trials * (2 + readouts)).reshape(trials, -1))
+    records = run_round_batch(joint, n, readouts, np.arange(trials), rows)
+    members = np.sort(np.concatenate([m for *_, m in records]))
+    assert np.array_equal(members, np.arange(trials))
+    even = ParityOutcome.EVEN
+    successes = 0
+    for branch, diag, survivor, m in records:
+        pol = even if branch in (BranchClass.EE, BranchClass.EO) else ParityOutcome.ODD
+        spa = even if branch in (BranchClass.EE, BranchClass.OE) else ParityOutcome.ODD
+        res = protocol._finish_round(survivor, pol, spa, diag)
+        assert res.branch is branch
+        if branch is BranchClass.EE:
+            assert res.succeeded
+            successes += len(m)
+    assert successes > 0
+
+
+def test_oracle_is_independent_of_the_samplers():
+    names = vars(hyperconc.oracle)
+    for name in ("iterate_scheme_a", "iterate_scheme_b_pool", "mc_estimate"):
+        assert name not in names, name
+
+
+def test_scheme_a_builds_states_per_outcome_not_per_trial(monkeypatch):
+    built = 0
+    original = hyperconc.FullState.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        original(self)
+
+    monkeypatch.setattr(hyperconc.FullState, "__post_init__", counting)
+    mc_estimate("a", 3, 0.8, 0.6, 3, 2000, 5)
+    assert 0 < built < 2000 // 4
