@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConsistencyError
+
 _CONSISTENCY_TOL = 1e-12
 
 
@@ -240,7 +242,8 @@ def total_success(n_rounds: int, alpha_sq: float, delta_sq: float) -> float:
     """Probability of success within ``n_rounds`` rounds.
 
     Evaluated along both routes (unrolled per-round sum, Markov evolution);
-    raises when they disagree beyond 1e-12.  The Markov value is returned.
+    raises ``ConsistencyError`` when they disagree beyond 1e-12.  The Markov
+    value is returned.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be at least 1")
@@ -249,7 +252,7 @@ def total_success(n_rounds: int, alpha_sq: float, delta_sq: float) -> float:
         dist = markov_evolve(dist, k, alpha_sq, delta_sq)
     unrolled = sum(round_success_unrolled(k, alpha_sq, delta_sq) for k in range(1, n_rounds + 1))
     if abs(dist.done - unrolled) > _CONSISTENCY_TOL:
-        raise ValueError(
+        raise ConsistencyError(
             f"evaluators disagree: markov {dist.done!r} vs unrolled {unrolled!r} "
             f"at alpha_sq={alpha_sq}, delta_sq={delta_sq}, n_rounds={n_rounds}"
         )

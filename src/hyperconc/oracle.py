@@ -32,6 +32,18 @@ from .states import (
 
 ORACLE_PHOTON_CAP = 8
 
+# Conjugated readout rows, in DIAGONAL_OUTCOMES order: the same rows as the
+# measurement layer's diagonal readout.  Scaling before conjugating keeps the
+# signs of the zero imaginary parts, and with them the leaves' bytes.
+_READOUT_CONJ = (
+    0.5
+    * np.array(
+        [[1, o.pol_sign, o.spa_sign, o.pol_sign * o.spa_sign] for o in DIAGONAL_OUTCOMES],
+        dtype=np.complex128,
+    )
+).conj()
+_READOUT_CONJ.flags.writeable = False
+
 
 def _basis_index(n: int, pol_bit: int, spa_bit: int) -> int:
     # All photons share the same digit; accumulate it position by position.
@@ -67,6 +79,25 @@ def _all_zero_mask(n: int, spatial: bool) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=None)
+def _readout_patterns(
+    n_resource: int,
+) -> tuple[tuple[tuple[str, ...], ...], np.ndarray, np.ndarray]:
+    """Per readout column: its outcome labels, and whether its polarization
+    and spatial minus counts are odd (the columns photon 0's sign
+    corrections apply to)."""
+    digits = np.indices((4,) * n_resource).reshape(n_resource, -1)
+    labels = tuple(
+        tuple(DIAGONAL_OUTCOMES[k].label() for k in combo) for combo in digits.T.tolist()
+    )
+    # DIAGONAL_OUTCOMES[k]: pol sign lives in bit 1 of k, spa in bit 0
+    pol_odd = np.bitwise_xor.reduce((digits >> 1) & 1, axis=0).astype(bool)
+    spa_odd = np.bitwise_xor.reduce(digits & 1, axis=0).astype(bool)
+    pol_odd.flags.writeable = False
+    spa_odd.flags.writeable = False
+    return labels, pol_odd, spa_odd
+
+
 @dataclass(frozen=True)
 class OutcomeLeaf:
     """One complete measurement record of a round."""
@@ -82,13 +113,19 @@ class OutcomeLeaf:
 
 @dataclass(frozen=True)
 class OutcomeTree:
-    """All round outcomes of one scheme with their exact probabilities."""
+    """All round outcomes of one scheme with their exact probabilities.
+
+    ``dropped_mass`` is the probability of the parity branches and readout
+    records pruned at ``MIN_BRANCH_PROBABILITY``, the mass missing from
+    ``total_mass()``.
+    """
 
     scheme: str
     n: int
     alpha_sq: float
     delta_sq: float
     leaves: tuple[OutcomeLeaf, ...]
+    dropped_mass: float = 0.0
 
     def total_mass(self) -> float:
         return sum(leaf.probability for leaf in self.leaves)
@@ -161,20 +198,19 @@ def enumerate_scheme(
     )
 
     target = _maximal_vector(n)
+    labels, pol_odd, spa_odd = _readout_patterns(n_resource)
     leaves: list[OutcomeLeaf] = []
-    # Same rows as the measurement layer's readout, in DIAGONAL_OUTCOMES order.
-    diag = 0.5 * np.array(
-        [[1, o.pol_sign, o.spa_sign, o.pol_sign * o.spa_sign] for o in DIAGONAL_OUTCOMES],
-        dtype=np.complex128,
-    )
+    dropped = 0.0
 
     for pol_out in ParityOutcome:
         p_pol, after_pol = parity_branch(joint, 0, n, Dof.POLARIZATION, pol_out)
         if after_pol is None:
+            dropped += p_pol
             continue
         for spa_out in ParityOutcome:
             p_spa, after_spa = parity_branch(after_pol, 0, n, Dof.SPATIAL, spa_out)
             if after_spa is None:
+                dropped += p_pol * p_spa
                 continue
             branch = BranchClass.from_parities(pol_out, spa_out)
             prefix = (f"pol_{pol_out.value}", f"spa_{spa_out.value}")
@@ -186,7 +222,7 @@ def enumerate_scheme(
             # one-at-a-time branch walk with the probabilities telescoped.
             block = after_spa.amplitudes.reshape((4**n,) + (4,) * n_resource)
             for _ in range(n_resource):
-                block = np.tensordot(block, diag.conj(), axes=([1], [1]))
+                block = np.tensordot(block, _READOUT_CONJ, axes=([1], [1]))
             flat = block.reshape(4**n, 4**n_resource)
             branch_prob = p_pol * p_spa
 
@@ -195,10 +231,10 @@ def enumerate_scheme(
             # the maximal target, and the two first-coefficient marginals.
             mags = flat.real**2 + flat.imag**2
             probs = np.sum(mags, axis=0)
-            digits = np.indices((4,) * n_resource).reshape(n_resource, -1)
-            # DIAGONAL_OUTCOMES[k]: pol sign lives in bit 1 of k, spa in bit 0
-            pol_odd = np.bitwise_xor.reduce((digits >> 1) & 1, axis=0).astype(bool)
-            spa_odd = np.bitwise_xor.reduce(digits & 1, axis=0).astype(bool)
+            weights = branch_prob * probs
+            kept = weights > MIN_BRANCH_PROBABILITY
+            dropped += float(np.sum(weights[~kept]))
+            cols = np.flatnonzero(kept)
             corrected = flat.copy()
             if pol_odd.any():
                 rows = _bit_mask(n, _bit_shift(n, 0, Dof.POLARIZATION))
@@ -212,26 +248,21 @@ def enumerate_scheme(
             pol_masses = np.sum(mags[_all_zero_mask(n, False)], axis=0)
             spa_masses = np.sum(mags[_all_zero_mask(n, True)], axis=0)
 
-            for col in range(4 ** n_resource):
-                p = float(probs[col])
-                if branch_prob * p <= MIN_BRANCH_PROBABILITY:
-                    continue
-                combo = digits[:, col]
-                labels = tuple(DIAGONAL_OUTCOMES[int(k)].label() for k in combo)
-                final = FullState(n, corrected[:, col] / math.sqrt(p))
+            p = probs[cols]
+            states = FullState._from_rows(n, corrected.T[cols] / np.sqrt(p)[:, None])
+            for col, prob, ok, pol_sq, spa_sq, state in zip(
+                cols.tolist(),
+                weights[cols].tolist(),
+                (fid_num[cols] / p >= 1.0 - 1e-10).tolist(),
+                (pol_masses[cols] / p).tolist(),
+                (spa_masses[cols] / p).tolist(),
+                states,
+            ):
                 leaves.append(
-                    OutcomeLeaf(
-                        prefix + labels,
-                        branch_prob * p,
-                        branch,
-                        bool(fid_num[col] / p >= 1.0 - 1e-10),
-                        float(pol_masses[col] / p),
-                        float(spa_masses[col] / p),
-                        final,
-                    )
+                    OutcomeLeaf(prefix + labels[col], prob, branch, ok, pol_sq, spa_sq, state)
                 )
 
-    return OutcomeTree(scheme, n, float(alpha_sq), float(delta_sq), tuple(leaves))
+    return OutcomeTree(scheme, n, float(alpha_sq), float(delta_sq), tuple(leaves), dropped)
 
 
 def exact_iteration_tree(

@@ -33,6 +33,9 @@ PHOTON_CAP = 10
 # worse is treated as caller error rather than float drift.
 NORM_INPUT_TOL = 1e-9
 
+# A dense vector whose norm is off 1 by more than this is renormalized.
+_RENORM_TOL = 1e-13
+
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -145,9 +148,42 @@ class FullState:
         norm = float(np.linalg.norm(amps))
         if norm < 1e-12:
             raise ValueError("state vector has (near-)zero norm")
-        amps = amps / norm if abs(norm - 1.0) > 1e-13 else amps.copy()
+        amps = amps / norm if abs(norm - 1.0) > _RENORM_TOL else amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def _from_rows(cls, n_photons: int, rows: np.ndarray) -> list["FullState"]:
+        """One state per row of ``rows``, all norms checked in one pass.
+
+        Internal bulk constructor with the rules of ``__post_init__``: a row
+        of (near-)zero norm raises ``ValueError`` and a row off unit norm
+        by more than 1e-13 is renormalized exactly as ``FullState`` would.
+        The states' amplitudes are read-only row views of one C-contiguous
+        array; ``rows`` becomes that array when it is a C-contiguous
+        complex array owning its data, and is copied otherwise.
+        """
+        if not isinstance(n_photons, int) or not 1 <= n_photons <= PHOTON_CAP:
+            raise ValueError(f"photon count must be in [1, {PHOTON_CAP}], got {n_photons}")
+        rows = np.require(rows, np.complex128, ("C", "O"))
+        if rows.ndim != 2 or rows.shape[1] != 4**n_photons:
+            raise ValueError(f"expected rows of {4**n_photons} amplitudes, got shape {rows.shape}")
+        rows.flags.writeable = False
+        # These norms are summed in another order than np.linalg.norm's, so
+        # only rows well inside the tolerance skip ``FullState``; the rest,
+        # zero rows included, get its check with its own norm.
+        norms = np.sqrt(np.sum(rows.real**2 + rows.imag**2, axis=1))
+        trusted = (np.abs(norms - 1.0) <= 0.1 * _RENORM_TOL).tolist()
+        states = []
+        for row, ok in zip(rows, trusted):
+            if ok:
+                state = object.__new__(cls)
+                object.__setattr__(state, "n_photons", n_photons)
+                object.__setattr__(state, "amplitudes", row)
+            else:
+                state = cls(n_photons, row)
+            states.append(state)
+        return states
 
 
 def prepare_partial_ghz(n: int, pol: DofAmplitudes, spa: DofAmplitudes) -> GhzForm:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperconc import BranchClass, IterationTrace, cli, oracle, protocol, sampling
+from hyperconc import BranchClass, IterationTrace, analytics, cli, oracle, protocol, sampling
 
 GOLDEN = Path(__file__).parent / "data" / "grid_r1_res3.csv"
 
@@ -210,3 +210,10 @@ class TestConsistencyErrors:
         )
         code, err = self.run(["verify", "--quick"], capsys)
         assert code == 2 and "coefficients disagree" in err
+
+    def test_success_evaluators_disagree(self, monkeypatch, capsys):
+        unrolled = analytics.round_success_unrolled
+        monkeypatch.setattr(analytics, "round_success_unrolled",
+                            lambda k, a, d: unrolled(k, a, d) + 1e-9)
+        code, err = self.run(["grid", "--resolution", "2"], capsys)
+        assert code == 2 and "evaluators disagree" in err
