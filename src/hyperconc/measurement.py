@@ -125,7 +125,8 @@ def _parity_post(
     if prob < MIN_BRANCH_PROBABILITY:
         return max(prob, 0.0), None
     amps = np.where(keep, state.amplitudes, 0.0)
-    return prob, FullState(state.n_photons, amps / np.sqrt(prob))
+    amps /= np.sqrt(prob)
+    return prob, FullState._adopt(state.n_photons, amps)
 
 
 def parity_branch(
@@ -226,7 +227,9 @@ def diagonal_components(state: FullState, photon: int) -> np.ndarray:
 
 def _diagonal_post(state: FullState, comps: np.ndarray, k: int, prob: float) -> FullState:
     """The one diagonal projection: outcome ``k``'s renormalized remainder."""
-    return FullState(state.n_photons - 1, comps[:, :, k].reshape(-1) / np.sqrt(prob))
+    amps = comps[:, :, k].flatten()
+    amps /= np.sqrt(prob)
+    return FullState._adopt(state.n_photons - 1, amps)
 
 
 def _diagonal_pick(probs: np.ndarray, u):

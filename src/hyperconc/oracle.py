@@ -98,6 +98,61 @@ def _readout_patterns(
     return labels, pol_odd, spa_odd
 
 
+@lru_cache(maxsize=None)
+def _photon0_bits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per working row: photon 0's polarization bit, its spatial bit, and
+    its correction class (pol bit + 2 * spa bit)."""
+    pol_one = _bit_mask(n, _bit_shift(n, 0, Dof.POLARIZATION))
+    spa_one = _bit_mask(n, _bit_shift(n, 0, Dof.SPATIAL))
+    row_class = pol_one + 2 * spa_one.astype(np.intp)
+    row_class.flags.writeable = False
+    return pol_one, spa_one, row_class
+
+
+def _parity_branches(
+    joint: FullState, n: int, n_resource: int
+) -> tuple[list, list[tuple[tuple[str, str], BranchClass, float]], np.ndarray, np.ndarray]:
+    """Both parity checks of a round, each branch compressed to its live rows.
+
+    A working row is live when any bit of its amplitudes is set.  Returns
+    the dropped masses in walk order (a surviving branch appears as its
+    index, standing for the readout mass it will drop), one (label prefix,
+    class, probability) entry per surviving branch, the live rows of each
+    branch padded with all-+0 rows to a common count, shape (branches,
+    width, 4**n_resource), and their working-row indices (-1 for padding).
+    Each post-check vector is released once compressed, so at most one
+    dense vector per parity level is alive.
+    """
+    drops: list = []
+    branches = []
+    compressed = []
+    for pol_out in ParityOutcome:
+        p_pol, after_pol = parity_branch(joint, 0, n, Dof.POLARIZATION, pol_out)
+        if after_pol is None:
+            drops.append(p_pol)
+            continue
+        for spa_out in ParityOutcome:
+            p_spa, after_spa = parity_branch(after_pol, 0, n, Dof.SPATIAL, spa_out)
+            if after_spa is None:
+                drops.append(p_pol * p_spa)
+                continue
+            amps = after_spa.amplitudes.reshape(4**n, 4**n_resource)
+            rows = np.flatnonzero(amps.view(np.uint64).any(axis=1))
+            compressed.append((rows, amps[rows]))
+            del amps, after_spa
+            drops.append(len(branches))
+            prefix = (f"pol_{pol_out.value}", f"spa_{spa_out.value}")
+            branches.append((prefix, BranchClass.from_parities(pol_out, spa_out), p_pol * p_spa))
+        del after_pol
+    width = max(rows.size for rows, _ in compressed)
+    live = np.zeros((len(compressed), width, 4**n_resource), dtype=np.complex128)
+    live_rows = np.full((len(compressed), width), -1, dtype=np.intp)
+    for b, (rows, block) in enumerate(compressed):
+        live[b, : rows.size] = block
+        live_rows[b, : rows.size] = rows
+    return drops, branches, live, live_rows
+
+
 @dataclass(frozen=True)
 class OutcomeLeaf:
     """One complete measurement record of a round."""
@@ -193,75 +248,87 @@ def enumerate_scheme(
     # Both resources carry the exchanged pairs: the tailored ancilla by
     # construction, the flipped second copy because flipping swaps branches.
     resource = _ghz_vector(n_resource, (b, a), (d, c))
-    joint = FullState(
-        n + n_resource, np.kron(working.amplitudes, resource.amplitudes)
+
+    # The working and resource states are products of GHZ pairs, and the two
+    # parity projections are diagonal, so each surviving branch holds
+    # amplitude on at most four of the 4**n working rows.
+    drops, branches, live, live_rows = _parity_branches(
+        FullState._adopt(n + n_resource, np.kron(working.amplitudes, resource.amplitudes)),
+        n,
+        n_resource,
     )
-
-    target = _maximal_vector(n)
+    n_live = live_rows.size
     labels, pol_odd, spa_odd = _readout_patterns(n_resource)
-    leaves: list[OutcomeLeaf] = []
+    pol_one, spa_one, row_class = _photon0_bits(n)
+
+    # Read every resource photon out in one pass over the live rows of all
+    # branches, followed by one all-+0 row per photon-0 correction class
+    # (pol bit + 2 * spa bit) that stands for every row without amplitude.
+    # Contracting the readout rows onto a photon's axis sends that axis to
+    # the back, so after n_resource contractions of axis 1 the block is
+    # indexed by (row, outcome of photon n, ..., outcome of last).  Readouts
+    # on distinct photons commute, so this equals the one-at-a-time branch
+    # walk with the probabilities telescoped.  A row's readout does not
+    # depend on the other rows, so a zero row's readout is the dense pass's
+    # bit for bit, signed zeros included.  That holds for BLAS gemm only: a
+    # one-row product goes to gemv, whose last bits differ, and the four
+    # class rows keep every block above one row.
+    block = np.concatenate(
+        [live.reshape(n_live, -1), np.zeros((4, 4**n_resource), dtype=np.complex128)]
+    )
+    block = block.reshape((len(block),) + (4,) * n_resource)
+    for _ in range(n_resource):
+        block = np.tensordot(block, _READOUT_CONJ, axes=([1], [1]))
+    corrected = block.reshape(len(block), 4**n_resource)
+
+    # Per (branch, readout column): probability, the two first-coefficient
+    # marginals, and the overlap with the maximal target after the sign
+    # corrections on photon 0 (columns whose minus counts are odd).  Sums
+    # over a branch's rows run in row order, as in the dense pass, and the
+    # rows of +0 left out or padded in change no bit of them.
+    mags = corrected.real**2 + corrected.imag**2
+    live_mags = mags[:n_live].reshape(live.shape)
+    probs = np.sum(live_mags, axis=1)
+    pol_masses, spa_masses = (
+        np.sum(np.where(_all_zero_mask(n, spatial)[live_rows, None], live_mags, 0.0), axis=1)
+        for spatial in (False, True)
+    )
+    corrected[np.ix_(np.append(pol_one[live_rows], [False, True, False, True]), pol_odd)] *= -1.0
+    corrected[np.ix_(np.append(spa_one[live_rows], [False, False, True, True]), spa_odd)] *= -1.0
+    # The overlap is summed in another order than the dense product was; it
+    # only feeds the 1e-10 success test below, far above rounding.
+    target_conj = _maximal_vector(n).amplitudes.conj()[live_rows, None]
+    overlaps = np.sum(target_conj * corrected[:n_live].reshape(live.shape), axis=1)
+    fid_num = overlaps.real**2 + overlaps.imag**2
+
+    weights = np.array([prob for *_, prob in branches])[:, None] * probs
+    kept = weights > MIN_BRANCH_PROBABILITY
+    readout_drops = [float(np.sum(w[~k])) for w, k in zip(weights, kept)]
     dropped = 0.0
+    for term in drops:
+        dropped += readout_drops[term] if isinstance(term, int) else term
 
-    for pol_out in ParityOutcome:
-        p_pol, after_pol = parity_branch(joint, 0, n, Dof.POLARIZATION, pol_out)
-        if after_pol is None:
-            dropped += p_pol
-            continue
-        for spa_out in ParityOutcome:
-            p_spa, after_spa = parity_branch(after_pol, 0, n, Dof.SPATIAL, spa_out)
-            if after_spa is None:
-                dropped += p_pol * p_spa
-                continue
-            branch = BranchClass.from_parities(pol_out, spa_out)
-            prefix = (f"pol_{pol_out.value}", f"spa_{spa_out.value}")
-            # Read every resource photon out in one pass: contracting the
-            # readout rows onto a photon's axis sends that axis to the back,
-            # so after n_resource contractions of axis 1 the block is indexed
-            # by (working basis, outcome of photon n, ..., outcome of last).
-            # Readouts on distinct photons commute, so this equals the
-            # one-at-a-time branch walk with the probabilities telescoped.
-            block = after_spa.amplitudes.reshape((4**n,) + (4,) * n_resource)
-            for _ in range(n_resource):
-                block = np.tensordot(block, _READOUT_CONJ, axes=([1], [1]))
-            flat = block.reshape(4**n, 4**n_resource)
-            branch_prob = p_pol * p_spa
-
-            # Batch the per-column work: probabilities, sign corrections on
-            # photon 0 (for columns whose minus counts are odd), overlap with
-            # the maximal target, and the two first-coefficient marginals.
-            mags = flat.real**2 + flat.imag**2
-            probs = np.sum(mags, axis=0)
-            weights = branch_prob * probs
-            kept = weights > MIN_BRANCH_PROBABILITY
-            dropped += float(np.sum(weights[~kept]))
-            cols = np.flatnonzero(kept)
-            corrected = flat.copy()
-            if pol_odd.any():
-                rows = _bit_mask(n, _bit_shift(n, 0, Dof.POLARIZATION))
-                corrected[np.ix_(rows, pol_odd)] *= -1.0
-            if spa_odd.any():
-                rows = _bit_mask(n, _bit_shift(n, 0, Dof.SPATIAL))
-                corrected[np.ix_(rows, spa_odd)] *= -1.0
-            overlaps = target.amplitudes.conj() @ corrected
-            fid_num = overlaps.real**2 + overlaps.imag**2
-            # sign flips never change magnitudes, so marginals come from mags
-            pol_masses = np.sum(mags[_all_zero_mask(n, False)], axis=0)
-            spa_masses = np.sum(mags[_all_zero_mask(n, True)], axis=0)
-
-            p = probs[cols]
-            states = FullState._from_rows(n, corrected.T[cols] / np.sqrt(p)[:, None])
-            for col, prob, ok, pol_sq, spa_sq, state in zip(
-                cols.tolist(),
-                weights[cols].tolist(),
-                (fid_num[cols] / p >= 1.0 - 1e-10).tolist(),
-                (pol_masses[cols] / p).tolist(),
-                (spa_masses[cols] / p).tolist(),
-                states,
-            ):
-                leaves.append(
-                    OutcomeLeaf(prefix + labels[col], prob, branch, ok, pol_sq, spa_sq, state)
-                )
-
+    # Leaf states: divide the compressed rows, then gather them into dense
+    # rows, each row without amplitude from its correction class's row.
+    where, cols = np.nonzero(kept)
+    p = probs[where, cols]
+    scaled = corrected[:, cols].T / np.sqrt(p)[:, None]
+    dense = np.take(scaled, n_live + row_class, axis=1)
+    leaf, slot = np.nonzero(live_rows[where] >= 0)
+    owner = where[leaf]
+    dense[leaf, live_rows[owner, slot]] = scaled[leaf, owner * live_rows.shape[1] + slot]
+    leaves = [
+        OutcomeLeaf(branches[b][0] + labels[col], prob, branches[b][1], ok, pol_sq, spa_sq, state)
+        for b, col, prob, ok, pol_sq, spa_sq, state in zip(
+            where.tolist(),
+            cols.tolist(),
+            weights[where, cols].tolist(),
+            (fid_num[where, cols] / p >= 1.0 - 1e-10).tolist(),
+            (pol_masses[where, cols] / p).tolist(),
+            (spa_masses[where, cols] / p).tolist(),
+            FullState._from_rows(n, dense),
+        )
+    ]
     return OutcomeTree(scheme, n, float(alpha_sq), float(delta_sq), tuple(leaves), dropped)
 
 

@@ -145,12 +145,30 @@ class FullState:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (4**self.n_photons,):
             raise ValueError(f"expected {4**self.n_photons} amplitudes, got shape {amps.shape}")
-        norm = float(np.linalg.norm(amps))
-        if norm < 1e-12:
-            raise ValueError("state vector has (near-)zero norm")
-        amps = amps / norm if abs(norm - 1.0) > _RENORM_TOL else amps.copy()
+        unit = _unit_norm(amps)
+        amps = amps.copy() if unit is amps else unit
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def _adopt(cls, n_photons: int, amps: np.ndarray) -> "FullState":
+        """Internal trusted constructor for a fresh vector nobody else holds.
+
+        The caller guarantees a complex128 vector of ``4**n_photons``
+        amplitudes.  The norm rule is ``FullState``'s own; a vector within
+        it is adopted as is (made read-only, not copied).
+        """
+        amps = _unit_norm(amps)
+        amps.flags.writeable = False
+        return cls._wrap(n_photons, amps)
+
+    @classmethod
+    def _wrap(cls, n_photons: int, amps: np.ndarray) -> "FullState":
+        # A state around a read-only unit vector, with no check at all.
+        state = object.__new__(cls)
+        object.__setattr__(state, "n_photons", n_photons)
+        object.__setattr__(state, "amplitudes", amps)
+        return state
 
     @classmethod
     def _from_rows(cls, n_photons: int, rows: np.ndarray) -> list["FullState"]:
@@ -160,8 +178,9 @@ class FullState:
         of (near-)zero norm raises ``ValueError`` and a row off unit norm
         by more than 1e-13 is renormalized exactly as ``FullState`` would.
         The states' amplitudes are read-only row views of one C-contiguous
-        array; ``rows`` becomes that array when it is a C-contiguous
-        complex array owning its data, and is copied otherwise.
+        array (a renormalized row gets its own vector); ``rows`` becomes
+        that array when it is a C-contiguous complex array owning its data,
+        and is copied otherwise.
         """
         if not isinstance(n_photons, int) or not 1 <= n_photons <= PHOTON_CAP:
             raise ValueError(f"photon count must be in [1, {PHOTON_CAP}], got {n_photons}")
@@ -170,20 +189,24 @@ class FullState:
             raise ValueError(f"expected rows of {4**n_photons} amplitudes, got shape {rows.shape}")
         rows.flags.writeable = False
         # These norms are summed in another order than np.linalg.norm's, so
-        # only rows well inside the tolerance skip ``FullState``; the rest,
-        # zero rows included, get its check with its own norm.
+        # only rows well inside the tolerance skip the norm rule; the rest,
+        # zero rows included, get the rule with its own norm.
         norms = np.sqrt(np.sum(rows.real**2 + rows.imag**2, axis=1))
         trusted = (np.abs(norms - 1.0) <= 0.1 * _RENORM_TOL).tolist()
-        states = []
-        for row, ok in zip(rows, trusted):
-            if ok:
-                state = object.__new__(cls)
-                object.__setattr__(state, "n_photons", n_photons)
-                object.__setattr__(state, "amplitudes", row)
-            else:
-                state = cls(n_photons, row)
-            states.append(state)
-        return states
+        return [
+            cls._wrap(n_photons, row) if ok else cls._adopt(n_photons, row)
+            for row, ok in zip(rows, trusted)
+        ]
+
+
+def _unit_norm(amps: np.ndarray) -> np.ndarray:
+    """The one norm rule of dense states: ``amps`` itself when its norm is
+    within ``_RENORM_TOL`` of 1, else a renormalized copy; a (near-)zero
+    norm raises ``ValueError``."""
+    norm = float(np.linalg.norm(amps))
+    if norm < 1e-12:
+        raise ValueError("state vector has (near-)zero norm")
+    return amps / norm if abs(norm - 1.0) > _RENORM_TOL else amps
 
 
 def prepare_partial_ghz(n: int, pol: DofAmplitudes, spa: DofAmplitudes) -> GhzForm:

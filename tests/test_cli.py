@@ -146,6 +146,35 @@ class TestExitCodes:
             "--alpha-sq", "0.8", "--delta-sq", "0.6",
         ).returncode == 1
 
+    @pytest.mark.parametrize(
+        "command,option,limit",
+        [
+            (["grid"], "--resolution", cli.GRID_MAX_RESOLUTION),
+            (["grid"], "--rounds", cli.GRID_MAX_ROUNDS),
+            (["simulate", "--scheme", "a", "--n", "2", "--alpha-sq", "0.8", "--delta-sq", "0.6"],
+             "--trials", cli.SIMULATE_MAX_TRIALS),
+            (["simulate", "--scheme", "b", "--n", "2", "--alpha-sq", "0.7", "--delta-sq", "0.7"],
+             "--rounds", cli.SIMULATE_MAX_ROUNDS),
+        ],
+    )
+    def test_work_limits(self, command, option, limit, capsys, monkeypatch):
+        # The limit itself reaches the (stubbed) work; one above it exits 1
+        # before any work starts.
+        class Started(Exception):
+            pass
+
+        def start(*args):
+            raise Started
+
+        monkeypatch.setattr(analytics, "grid_sweep", start)
+        monkeypatch.setattr(sampling, "mc_estimate", start)
+        with pytest.raises(Started):
+            cli.main(command + [option, str(limit)])
+        assert cli.main(command + [option, str(limit + 1)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option} must lie in [") and err.count("\n") == 1, err
+        assert err.endswith(f", {limit}], got {limit + 1}\n"), err
+
     def test_unknown_command_exit_one(self):
         assert run_cli("frobnicate").returncode == 1
 

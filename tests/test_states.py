@@ -109,6 +109,37 @@ class TestFullState:
             FullState(PHOTON_CAP + 1, np.zeros(4 ** (PHOTON_CAP + 1), dtype=complex))
 
 
+class TestAdopt:
+    """``FullState._adopt`` takes a fresh vector under ``FullState``'s norm rule."""
+
+    @staticmethod
+    def unit_vector(n, seed=0):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=4**n) + 1j * rng.normal(size=4**n)
+        return v / np.linalg.norm(v)
+
+    def test_zero_norm_raises(self):
+        with pytest.raises(ValueError, match="zero norm"):
+            FullState._adopt(2, np.zeros(16, dtype=complex))
+        with pytest.raises(ValueError, match="zero norm"):
+            FullState._adopt(2, np.full(16, 1e-14, dtype=complex))
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 5e-14, 1.0 - 5e-13, 1.0 + 1e-6, 3.0])
+    def test_bytes_equal_fullstate(self, scale):
+        v = self.unit_vector(2, seed=3) * scale
+        state = FullState._adopt(2, v.copy())
+        assert state.n_photons == 2
+        assert state.amplitudes.tobytes() == FullState(2, v).amplitudes.tobytes()
+
+    def test_unit_vector_adopted_read_only_without_copy(self):
+        v = self.unit_vector(3)
+        state = FullState._adopt(3, v)
+        assert np.shares_memory(state.amplitudes, v)
+        assert not state.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 0.0
+
+
 class TestBasisLayout:
     def test_ghz_to_full_populates_the_four_corners(self):
         g = ghz(2, 0.8, 0.6)
