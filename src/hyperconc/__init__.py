@@ -14,27 +14,19 @@ from .analytics import (
     BranchProbs,
     RoundTable,
     branch_rates,
-    coefficient_at_round,
     grid_axis,
     grid_sweep,
-    initial_distribution,
     markov_evolve,
     pool_expected_yield,
     round1_probabilities,
     round_success_unrolled,
-    squared_renormalized,
-    success_table,
     total_success,
 )
 from .errors import ConsistencyError
 from .measurement import (
-    DIAGONAL_OUTCOMES,
-    MIN_BRANCH_PROBABILITY,
     DiagonalOutcome,
     ParityOutcome,
     RandomSource,
-    diagonal_branch,
-    diagonal_components,
     measure_diagonal,
     parity_branch,
     parity_measure,
@@ -47,15 +39,11 @@ from .oracle import (
 )
 from .protocol import (
     BranchClass,
-    CorrectionParity,
     IterationTrace,
     ParameterEstimate,
     PoolReport,
     PoolRound,
     RoundResult,
-    branch_concentrates,
-    classify_residual,
-    corrections_from_outcomes,
     estimate_parameters,
     iterate_scheme_a,
     iterate_scheme_b_pool,
@@ -64,35 +52,27 @@ from .protocol import (
 )
 from .sampling import McReport, mc_estimate
 from .states import (
-    BALANCED,
-    PHOTON_CAP,
     Dof,
     DofAmplitudes,
     FullState,
     Gate,
     GhzForm,
     apply_single_photon_gate,
-    fidelity,
-    flip_copy,
     full_to_ghz,
     ghz_to_full,
-    is_maximal,
-    maximal_ghz,
-    prepare_ancilla,
-    prepare_partial_ghz,
     tensor,
 )
 
 __version__ = "0.1.0"
 
+# The entry points the README documents, the functions the benchmark calls
+# and traces, and the types they take or return.  Everything else is
+# imported from its own module.
 __all__ = [
-    "BALANCED",
     "BranchClass",
     "BranchDistribution",
     "BranchProbs",
     "ConsistencyError",
-    "CorrectionParity",
-    "DIAGONAL_OUTCOMES",
     "DiagonalOutcome",
     "Dof",
     "DofAmplitudes",
@@ -100,11 +80,9 @@ __all__ = [
     "Gate",
     "GhzForm",
     "IterationTrace",
-    "MIN_BRANCH_PROBABILITY",
     "McReport",
     "OutcomeLeaf",
     "OutcomeTree",
-    "PHOTON_CAP",
     "ParameterEstimate",
     "ParityOutcome",
     "PoolReport",
@@ -114,40 +92,25 @@ __all__ = [
     "RoundTable",
     "apply_single_photon_gate",
     "branch_rates",
-    "branch_concentrates",
-    "classify_residual",
-    "coefficient_at_round",
-    "corrections_from_outcomes",
-    "diagonal_branch",
-    "diagonal_components",
     "enumerate_scheme",
     "estimate_parameters",
     "exact_iteration_tree",
-    "fidelity",
-    "flip_copy",
     "full_to_ghz",
     "ghz_to_full",
     "grid_axis",
     "grid_sweep",
-    "initial_distribution",
-    "is_maximal",
     "iterate_scheme_a",
     "iterate_scheme_b_pool",
     "markov_evolve",
-    "maximal_ghz",
     "mc_estimate",
     "measure_diagonal",
     "parity_branch",
     "parity_measure",
     "pool_expected_yield",
-    "prepare_ancilla",
-    "prepare_partial_ghz",
     "round1_probabilities",
     "round_success_unrolled",
     "run_scheme_a_round",
     "run_scheme_b_round",
-    "squared_renormalized",
-    "success_table",
     "tensor",
     "total_success",
 ]

@@ -102,8 +102,6 @@ class RoundTable:
     oo_eo: float
     oo_oe: float
     oo_oo: float
-    round_success: float | None = None
-    cumulative: float | None = None
 
 
 def branch_rates(k: int, alpha_sq: float, delta_sq: float) -> RoundTable:
@@ -116,39 +114,6 @@ def branch_rates(k: int, alpha_sq: float, delta_sq: float) -> RoundTable:
     eo_f = c * c + (1.0 - c) * (1.0 - c)
     oe_s = 2.0 * a * (1.0 - a)
     oe_f = a * a + (1.0 - a) * (1.0 - a)
-    return RoundTable(
-        k=k,
-        eo_s=eo_s,
-        eo_f=eo_f,
-        oe_s=oe_s,
-        oe_f=oe_f,
-        oo_ee=oe_s * eo_s,
-        oo_eo=oe_s * eo_f,
-        oo_oe=eo_s * oe_f,
-        oo_oo=oe_f * eo_f,
-    )
-
-
-def branch_rates_literal(k: int, alpha_sq: float, delta_sq: float) -> RoundTable:
-    """Same rates via literal 2^k-th powers; underflows for extreme inputs.
-
-    Kept as a cross-check of the squaring recursion for small k.
-    """
-    if k < 2:
-        raise ValueError("branch rates are defined for rounds k >= 2")
-    a = _check_param("alpha_sq", alpha_sq)
-    c = _check_param("delta_sq", delta_sq)
-
-    def rates(p: float) -> tuple[float, float]:
-        # (success, failure) for one degree of freedom with original parameter p.
-        hi = float(p) ** (2 ** (k - 1))
-        lo = (1.0 - p) ** (2 ** (k - 1))
-        s = 2.0 * (p * (1.0 - p)) ** (2 ** (k - 1)) / (hi + lo) ** 2
-        f = (p ** (2**k) + (1.0 - p) ** (2**k)) / (hi + lo) ** 2
-        return s, f
-
-    eo_s, eo_f = rates(c)
-    oe_s, oe_f = rates(a)
     return RoundTable(
         k=k,
         eo_s=eo_s,
@@ -257,49 +222,6 @@ def total_success(n_rounds: int, alpha_sq: float, delta_sq: float) -> float:
             f"at alpha_sq={alpha_sq}, delta_sq={delta_sq}, n_rounds={n_rounds}"
         )
     return dist.done
-
-
-def success_table(n_rounds: int, alpha_sq: float, delta_sq: float) -> list[RoundTable]:
-    """Per-round rate rows with round success and cumulative totals filled in."""
-    rows: list[RoundTable] = []
-    cumulative = 0.0
-    for k in range(1, n_rounds + 1):
-        p_k = round_success_unrolled(k, alpha_sq, delta_sq)
-        cumulative += p_k
-        if k == 1:
-            rows.append(
-                RoundTable(
-                    k=1,
-                    eo_s=float("nan"),
-                    eo_f=float("nan"),
-                    oe_s=float("nan"),
-                    oe_f=float("nan"),
-                    oo_ee=float("nan"),
-                    oo_eo=float("nan"),
-                    oo_oe=float("nan"),
-                    oo_oo=float("nan"),
-                    round_success=p_k,
-                    cumulative=cumulative,
-                )
-            )
-        else:
-            r = branch_rates(k, alpha_sq, delta_sq)
-            rows.append(
-                RoundTable(
-                    k=k,
-                    eo_s=r.eo_s,
-                    eo_f=r.eo_f,
-                    oe_s=r.oe_s,
-                    oe_f=r.oe_f,
-                    oo_ee=r.oo_ee,
-                    oo_eo=r.oo_eo,
-                    oo_oe=r.oo_oe,
-                    oo_oo=r.oo_oo,
-                    round_success=p_k,
-                    cumulative=cumulative,
-                )
-            )
-    return rows
 
 
 def grid_axis(resolution: int, include_endpoints: bool = False) -> np.ndarray:

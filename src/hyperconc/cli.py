@@ -13,7 +13,6 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -55,6 +54,11 @@ def _require(cond: bool, message: str) -> None:
 
 def _check_range(name: str, value: int, low: int, high: int) -> None:
     _require(low <= value <= high, f"{name} must lie in [{low}, {high}], got {value}")
+
+
+def _check_seed(seed: int) -> None:
+    # Any nonnegative integer seeds the generator; there is no upper limit.
+    _require(seed >= 0, f"--seed must lie in [0, inf), got {seed}")
 
 
 def _check_unit(name: str, value: float) -> float:
@@ -121,6 +125,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _require(args.n >= 2, "--n must be at least 2")
     _check_range("--rounds", args.rounds, 1, SIMULATE_MAX_ROUNDS)
     _check_range("--trials", args.trials, 1, SIMULATE_MAX_TRIALS)
+    _check_seed(args.seed)
     if args.scheme == "b":
         _require(args.trials >= 2, "scheme b pools need at least 2 trials (copies)")
     _check_photon_budget(args.scheme, args.n, PHOTON_CAP)
@@ -173,7 +178,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_checks(quick: bool, seed: int, tol_scale: float):
+def _verify_checks(quick: bool, seed: int):
     """Yield (name, config, deviation, tolerance) rows for the verify table."""
     res_small = 3 if quick else 5
     grid = analytics.grid_axis(res_small)
@@ -193,7 +198,7 @@ def _verify_checks(quick: bool, seed: int, tol_scale: float):
                     (BranchClass.OO, p1.oo),
                 ):
                     dev = max(dev, abs(tree.class_mass(branch) - want))
-        yield ("round1-vs-enumeration", f"scheme={scheme} n={n}", dev, 1e-10 * tol_scale)
+        yield ("round1-vs-enumeration", f"scheme={scheme} n={n}", dev, 1e-10)
 
     # Residual families: enumerated survivor coefficients against the
     # squared-coefficient recursion.
@@ -212,7 +217,7 @@ def _verify_checks(quick: bool, seed: int, tol_scale: float):
                     wp, ws = want.first_moduli_sq()
                     got_p, got_s = tree.residual_coefficients(branch)
                     dev = max(dev, abs(got_p - wp), abs(got_s - ws))
-        yield ("residuals-vs-recursion", f"scheme={scheme} n={n}", dev, 1e-10 * tol_scale)
+        yield ("residuals-vs-recursion", f"scheme={scheme} n={n}", dev, 1e-10)
 
     # Route 3 internal: unrolled sum against Markov evolution.
     res_mk = 7 if quick else 21
@@ -225,7 +230,7 @@ def _verify_checks(quick: bool, seed: int, tol_scale: float):
                 dist = analytics.markov_evolve(dist, k, float(a), float(c))
                 unrolled += analytics.round_success_unrolled(k, float(a), float(c))
             dev = max(dev, abs(dist.done - unrolled))
-    yield ("unrolled-vs-markov", f"k<=6 grid={res_mk}x{res_mk}", dev, 1e-12 * tol_scale)
+    yield ("unrolled-vs-markov", f"k<=6 grid={res_mk}x{res_mk}", dev, 1e-12)
 
     # Route 2 vs 3: exhaustive iteration against the closed-form per-round sums.
     schemes = ("a",) if quick else ("a", "b")
@@ -237,7 +242,7 @@ def _verify_checks(quick: bool, seed: int, tol_scale: float):
                 for k, got in enumerate(per_round, start=1):
                     want = analytics.round_success_unrolled(k, float(a), float(c))
                     dev = max(dev, abs(got - want))
-        yield ("iteration-vs-analytics", f"scheme={scheme} n=2 k<=4", dev, 1e-10 * tol_scale)
+        yield ("iteration-vs-analytics", f"scheme={scheme} n=2 k<=4", dev, 1e-10)
 
     # Route 1 vs 3: seeded sampling against closed-form expectations.
     trials = 4000 if quick else 20000
@@ -257,35 +262,28 @@ def _verify_checks(quick: bool, seed: int, tol_scale: float):
             "montecarlo-vs-analytics",
             f"scheme={scheme} n={n} a={a} d={c} r={rounds}",
             abs(report.success_rate - want),
-            4.0 * sigma * tol_scale,
+            4.0 * sigma,
         )
 
 
-def run_verification(
-    quick: bool = False,
-    seed: int = 0,
-    tol_scale: float = 1.0,
-    stream: io.TextIOBase | None = None,
-) -> bool:
-    """Run the cross-validation matrix; print one line per check.
+def run_verification(quick: bool = False, seed: int = 0) -> bool:
+    """Run the cross-validation matrix; print one line per check to stdout.
 
-    ``tol_scale`` rescales every tolerance and exists for testing the failure
-    path.  Returns True when every check passes.
+    Returns True when every check passes.
     """
-    out = stream if stream is not None else sys.stdout
     all_ok = True
-    for name, config, dev, tol in _verify_checks(quick, seed, tol_scale):
+    for name, config, dev, tol in _verify_checks(quick, seed):
         ok = dev <= tol
         all_ok = all_ok and ok
         status = "PASS" if ok else "FAIL"
-        out.write(f"{name:<26} {config:<38} dev={dev:.3e} tol={tol:.1e} {status}\n")
-    out.write(("all checks passed" if all_ok else "verification FAILED") + "\n")
+        sys.stdout.write(f"{name:<26} {config:<38} dev={dev:.3e} tol={tol:.1e} {status}\n")
+    sys.stdout.write(("all checks passed" if all_ok else "verification FAILED") + "\n")
     return all_ok
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _require(args.tol_scale > 0.0, "--tol-scale must be positive")
-    ok = run_verification(quick=args.quick, seed=args.seed, tol_scale=args.tol_scale)
+    _check_seed(args.seed)
+    ok = run_verification(quick=args.quick, seed=args.seed)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -323,7 +321,6 @@ def _build_parser() -> _Parser:
     ver = sub.add_parser("verify", help="cross-validate the three evaluation routes")
     ver.add_argument("--quick", action="store_true")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--tol-scale", type=float, default=1.0, help="testing hook")
     ver.set_defaults(func=cmd_verify)
 
     return parser

@@ -200,12 +200,19 @@ def parity_measure_batch(
     ]
 
 
-# Rows: the four diagonal readout vectors in the single-photon digit basis
-# (uH, uV, dH, dV), i.e. (1, pol_sign, spa_sign, pol_sign*spa_sign) / 2.
-_DIAG_MATRIX = 0.5 * np.array(
-    [[1, o.pol_sign, o.spa_sign, o.pol_sign * o.spa_sign] for o in DIAGONAL_OUTCOMES],
-    dtype=np.complex128,
-)
+# Conjugated rows of the four diagonal readout vectors, in DIAGONAL_OUTCOMES
+# order, in the single-photon digit basis (uH, uV, dH, dV): the readout
+# vectors are (1, pol_sign, spa_sign, pol_sign*spa_sign) / 2.  Scaling
+# before conjugating keeps the signs of the zero imaginary parts, and with
+# them the bytes of every post state.  The oracle contracts with it too.
+_READOUT_CONJ = (
+    0.5
+    * np.array(
+        [[1, o.pol_sign, o.spa_sign, o.pol_sign * o.spa_sign] for o in DIAGONAL_OUTCOMES],
+        dtype=np.complex128,
+    )
+).conj()
+_READOUT_CONJ.flags.writeable = False
 
 
 def diagonal_components(state: FullState, photon: int) -> np.ndarray:
@@ -222,7 +229,7 @@ def diagonal_components(state: FullState, photon: int) -> np.ndarray:
     if not 0 <= photon < n:
         raise ValueError(f"photon index {photon} out of range for {n} photons")
     resh = state.amplitudes.reshape(4**photon, 4, 4 ** (n - 1 - photon))
-    return np.tensordot(resh, _DIAG_MATRIX.conj(), axes=([1], [1]))
+    return np.tensordot(resh, _READOUT_CONJ, axes=([1], [1]))
 
 
 def _diagonal_post(state: FullState, comps: np.ndarray, k: int, prob: float) -> FullState:

@@ -20,6 +20,7 @@ from .measurement import (
     DIAGONAL_OUTCOMES,
     MIN_BRANCH_PROBABILITY,
     ParityOutcome,
+    _READOUT_CONJ,
     parity_branch,
 )
 from .protocol import BranchClass, check_scheme
@@ -31,18 +32,6 @@ from .states import (
 )
 
 ORACLE_PHOTON_CAP = 8
-
-# Conjugated readout rows, in DIAGONAL_OUTCOMES order: the same rows as the
-# measurement layer's diagonal readout.  Scaling before conjugating keeps the
-# signs of the zero imaginary parts, and with them the leaves' bytes.
-_READOUT_CONJ = (
-    0.5
-    * np.array(
-        [[1, o.pol_sign, o.spa_sign, o.pol_sign * o.spa_sign] for o in DIAGONAL_OUTCOMES],
-        dtype=np.complex128,
-    )
-).conj()
-_READOUT_CONJ.flags.writeable = False
 
 
 def _basis_index(n: int, pol_bit: int, spa_bit: int) -> int:
@@ -212,13 +201,7 @@ class OutcomeTree:
         return pol / mass, spa / mass
 
 
-def enumerate_scheme(
-    scheme: str,
-    n: int,
-    alpha_sq: float,
-    delta_sq: float,
-    photon_cap: int = ORACLE_PHOTON_CAP,
-) -> OutcomeTree:
+def enumerate_scheme(scheme: str, n: int, alpha_sq: float, delta_sq: float) -> OutcomeTree:
     """Walk every outcome of one round and classify each terminal state.
 
     ``alpha_sq`` and ``delta_sq`` are the squared first coefficients of the
@@ -237,9 +220,9 @@ def enumerate_scheme(
     alpha_sq = clamp("alpha_sq", alpha_sq)
     delta_sq = clamp("delta_sq", delta_sq)
     n_resource = 1 if scheme == "a" else n
-    if n + n_resource > photon_cap:
+    if n + n_resource > ORACLE_PHOTON_CAP:
         raise ValueError(
-            f"{n + n_resource} photons exceed the enumeration cap of {photon_cap}"
+            f"{n + n_resource} photons exceed the enumeration cap of {ORACLE_PHOTON_CAP}"
         )
 
     a, b = math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq)
@@ -338,7 +321,6 @@ def exact_iteration_tree(
     alpha_sq: float,
     delta_sq: float,
     max_rounds: int,
-    photon_cap: int = ORACLE_PHOTON_CAP,
 ) -> list[float]:
     """Per-round success probabilities from repeated exhaustive enumeration.
 
@@ -380,13 +362,13 @@ def exact_iteration_tree(
                 entries[key] = (mass * leaf.probability, leaf.pol_sq, leaf.spa_sq)
         return success
 
-    tree = enumerate_scheme(scheme, n, alpha_sq, delta_sq, photon_cap)
+    tree = enumerate_scheme(scheme, n, alpha_sq, delta_sq)
     per_round.append(absorb(tree, 1.0, False, False))
     for _ in range(2, max_rounds + 1):
         current, entries = entries, {}
         p_round = 0.0
         for (pol_fixed, spa_fixed), (mass, pol_sq, spa_sq) in current.items():
-            tree = enumerate_scheme(scheme, n, pol_sq, spa_sq, photon_cap)
+            tree = enumerate_scheme(scheme, n, pol_sq, spa_sq)
             p_round += absorb(tree, mass, pol_fixed, spa_fixed)
         per_round.append(p_round)
     return per_round

@@ -89,27 +89,6 @@ class BranchClass(Enum):
 
 
 @dataclass(frozen=True)
-class CorrectionParity:
-    """Which sign corrections the diagonal outcomes call for.
-
-    ``pol`` (``spa``) is 1 when the number of minus outcomes in that degree
-    of freedom is odd, demanding a Z on the surviving reference photon.
-    """
-
-    pol: int
-    spa: int
-
-
-def corrections_from_outcomes(outcomes: list[DiagonalOutcome]) -> CorrectionParity:
-    """Fold a list of diagonal outcomes into the two correction parities."""
-    if not outcomes:
-        raise ValueError("at least one diagonal outcome is required")
-    p = sum(1 for o in outcomes if o.pol_sign == -1) % 2
-    q = sum(1 for o in outcomes if o.spa_sign == -1) % 2
-    return CorrectionParity(p, q)
-
-
-@dataclass(frozen=True)
 class RoundResult:
     """Everything one round produced.
 
@@ -132,12 +111,13 @@ def _finish_round(
     diag: tuple[DiagonalOutcome, ...],
 ) -> RoundResult:
     # Shared tail of both schemes: corrections on photon 0, then extraction.
-    cp = corrections_from_outcomes(list(diag))
+    # An odd number of minus outcomes in a degree of freedom calls for a Z
+    # on photon 0 in that degree of freedom.
     corrections: list[tuple[int, Dof, Gate]] = []
-    if cp.pol:
+    if sum(o.pol_sign == -1 for o in diag) % 2:
         state = apply_single_photon_gate(state, 0, Dof.POLARIZATION, Gate.Z)
         corrections.append((0, Dof.POLARIZATION, Gate.Z))
-    if cp.spa:
+    if sum(o.spa_sign == -1 for o in diag) % 2:
         state = apply_single_photon_gate(state, 0, Dof.SPATIAL, Gate.Z)
         corrections.append((0, Dof.SPATIAL, Gate.Z))
     post = full_to_ghz(state)

@@ -36,6 +36,12 @@ NORM_INPUT_TOL = 1e-9
 # A dense vector whose norm is off 1 by more than this is renormalized.
 _RENORM_TOL = 1e-13
 
+# full_to_ghz accepts a state whose fidelity with its extracted form is at
+# least 1 - _FORM_TOL; is_maximal accepts coefficients within _BALANCE_TOL
+# of 1/sqrt(2).
+_FORM_TOL = 1e-9
+_BALANCE_TOL = 1e-9
+
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -209,11 +215,6 @@ def _unit_norm(amps: np.ndarray) -> np.ndarray:
     return amps / norm if abs(norm - 1.0) > _RENORM_TOL else amps
 
 
-def prepare_partial_ghz(n: int, pol: DofAmplitudes, spa: DofAmplitudes) -> GhzForm:
-    """GHZ-like n-photon state with the given amplitude pairs and signs +1."""
-    return GhzForm(n, pol, spa)
-
-
 def maximal_ghz(n: int) -> GhzForm:
     """Target state: both degrees of freedom balanced, signs +1."""
     return GhzForm(n, BALANCED, BALANCED)
@@ -249,13 +250,13 @@ def ghz_to_full(g: GhzForm) -> FullState:
     return FullState(g.n, amps)
 
 
-def full_to_ghz(state: FullState, atol: float = 1e-9) -> GhzForm:
+def full_to_ghz(state: FullState) -> GhzForm:
     """Recover the GhzForm of a dense state, or raise if it has none.
 
     The returned form has signs +1; any relative phase (a sign left by a
     measurement, or phases inherited from complex inputs) is folded into the
     second amplitude of each pair.  Raises ``ValueError`` when the state is
-    not a product of two GHZ-like factors within ``atol``.
+    not a product of two GHZ-like factors within ``_FORM_TOL``.
     """
     n = state.n_photons
     r = _repunit(n)
@@ -289,27 +290,28 @@ def full_to_ghz(state: FullState, atol: float = 1e-9) -> GhzForm:
         a = c = 0.0
 
     g = GhzForm(n, DofAmplitudes(a, pol_second), DofAmplitudes(c, spa_second))
-    if fidelity(ghz_to_full(g), state) < 1.0 - atol:
+    if fidelity(ghz_to_full(g), state) < 1.0 - _FORM_TOL:
         raise ValueError("state is not a GHZ-like product in both degrees of freedom")
     return g
 
 
-def is_maximal(g: GhzForm, tol: float = 1e-9) -> bool:
+def is_maximal(g: GhzForm) -> bool:
     """True when all four coefficients are 1/sqrt(2) with plus signs."""
     f = g.signs_folded()
     return (
-        abs(f.pol.first - _INV_SQRT2) <= tol
-        and abs(f.pol.second - _INV_SQRT2) <= tol
-        and abs(f.spa.first - _INV_SQRT2) <= tol
-        and abs(f.spa.second - _INV_SQRT2) <= tol
+        abs(f.pol.first - _INV_SQRT2) <= _BALANCE_TOL
+        and abs(f.pol.second - _INV_SQRT2) <= _BALANCE_TOL
+        and abs(f.spa.first - _INV_SQRT2) <= _BALANCE_TOL
+        and abs(f.spa.second - _INV_SQRT2) <= _BALANCE_TOL
     )
 
 
-def tensor(a: FullState, b: FullState, max_photons: int = PHOTON_CAP) -> FullState:
+def tensor(a: FullState, b: FullState) -> FullState:
     """Tensor product; photons of ``a`` come first (most significant)."""
     n = a.n_photons + b.n_photons
-    if n > max_photons:
-        raise ValueError(f"tensor product of {n} photons exceeds cap of {max_photons}")
+    # Checked before np.kron allocates the 4**n product.
+    if n > PHOTON_CAP:
+        raise ValueError(f"tensor product of {n} photons exceeds cap of {PHOTON_CAP}")
     return FullState(n, np.kron(a.amplitudes, b.amplitudes))
 
 

@@ -20,10 +20,8 @@ from hyperconc import (
     GhzForm,
     ParityOutcome,
     RandomSource,
-    fidelity,
     ghz_to_full,
     iterate_scheme_a,
-    maximal_ghz,
 )
 from hyperconc.analytics import (
     grid_axis,
@@ -37,6 +35,7 @@ from hyperconc.analytics import (
 from hyperconc.measurement import parity_branch
 from hyperconc.oracle import enumerate_scheme, exact_iteration_tree
 from hyperconc.sampling import mc_estimate
+from hyperconc.states import fidelity, maximal_ghz
 
 TRIALS_FULL = 100_000
 TRACES = 10_000

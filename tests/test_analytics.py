@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from hyperconc.analytics import (
     BranchDistribution,
+    RoundTable,
     branch_rates,
-    branch_rates_literal,
     coefficient_at_round,
     grid_axis,
     grid_sweep,
@@ -18,11 +18,40 @@ from hyperconc.analytics import (
     round1_probabilities,
     round_success_unrolled,
     squared_renormalized,
-    success_table,
     total_success,
 )
 
 params = st.floats(0.01, 0.99)
+
+
+def branch_rates_literal(k: int, alpha_sq: float, delta_sq: float) -> RoundTable:
+    """Reference for ``branch_rates`` via literal 2^k-th powers.
+
+    Underflows for extreme inputs, so it cross-checks the squaring
+    recursion for small k only.
+    """
+
+    def rates(p: float) -> tuple[float, float]:
+        # (success, failure) for one degree of freedom with original parameter p.
+        hi = float(p) ** (2 ** (k - 1))
+        lo = (1.0 - p) ** (2 ** (k - 1))
+        s = 2.0 * (p * (1.0 - p)) ** (2 ** (k - 1)) / (hi + lo) ** 2
+        f = (p ** (2**k) + (1.0 - p) ** (2**k)) / (hi + lo) ** 2
+        return s, f
+
+    eo_s, eo_f = rates(delta_sq)
+    oe_s, oe_f = rates(alpha_sq)
+    return RoundTable(
+        k=k,
+        eo_s=eo_s,
+        eo_f=eo_f,
+        oe_s=oe_s,
+        oe_f=oe_f,
+        oo_ee=oe_s * eo_s,
+        oo_eo=oe_s * eo_f,
+        oo_oe=eo_s * oe_f,
+        oo_oo=oe_f * eo_f,
+    )
 
 
 class TestRoundOne:
@@ -111,15 +140,18 @@ class TestSuccessEvaluators:
         assert total_success(5, 0.5, 0.5) == 0.9384765625
 
     def test_frozen_balanced_per_round(self):
-        rows = success_table(5, 0.5, 0.5)
-        assert [r.round_success for r in rows] == [
+        per_round = [round_success_unrolled(k, 0.5, 0.5) for k in range(1, 6)]
+        assert per_round == [
             0.25,
             0.3125,
             0.203125,
             0.11328125,
             0.0595703125,
         ]
-        assert rows[-1].cumulative == 0.9384765625
+        cumulative = 0.0
+        for p_k in per_round:
+            cumulative += p_k
+        assert cumulative == 0.9384765625
 
     @given(a=params, c=params, k=st.integers(1, 6))
     @settings(max_examples=60)

@@ -127,10 +127,23 @@ class TestVerify:
         assert a.stdout == b.stdout
         assert "PASS" in a.stdout and "FAIL" not in a.stdout
 
-    def test_tightened_tolerance_fails_with_exit_two(self):
-        proc = run_cli("verify", "--quick", "--tol-scale", "1e-12")
-        assert proc.returncode == 2
-        assert "FAIL" in proc.stdout
+    def test_failed_check_exits_two(self, monkeypatch, capsys):
+        # Move the closed-form round-1 split 1e-6 off the enumerated class
+        # masses, keeping it a distribution: the checks that read it fail,
+        # the run finishes its table, and exits 2.
+        split = analytics.round1_probabilities
+
+        def shifted(alpha_sq, delta_sq):
+            p = split(alpha_sq, delta_sq)
+            return dataclasses.replace(p, ee=p.ee + 1e-6, oo=p.oo - 1e-6)
+
+        monkeypatch.setattr(analytics, "round1_probabilities", shifted)
+        assert cli.main(["verify", "--quick"]) == 2
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[-1] == "verification FAILED"
+        round1 = [r for r in rows if r.startswith("round1-vs-enumeration")]
+        assert len(round1) == 2 and all(r.endswith(" FAIL") for r in round1)
+        assert any(r.startswith("unrolled-vs-markov") and r.endswith(" PASS") for r in rows)
 
 
 class TestExitCodes:
@@ -174,6 +187,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {option} must lie in [") and err.count("\n") == 1, err
         assert err.endswith(f", {limit}], got {limit + 1}\n"), err
+
+    @pytest.mark.parametrize(
+        "command,seed",
+        [
+            (["simulate", "--scheme", "a", "--n", "2", "--alpha-sq", "0.8", "--delta-sq", "0.6"],
+             -1),
+            (["verify", "--quick"], -3),
+        ],
+    )
+    def test_negative_seed(self, command, seed, capsys, monkeypatch):
+        # Seed 0 reaches the (stubbed) work; a negative seed exits 1 with
+        # one error line naming the option, before any work starts.
+        class Started(Exception):
+            pass
+
+        def start(*args, **kwargs):
+            raise Started
+
+        monkeypatch.setattr(sampling, "mc_estimate", start)
+        monkeypatch.setattr(cli, "run_verification", start)
+        with pytest.raises(Started):
+            cli.main(command + ["--seed", "0"])
+        assert cli.main(command + ["--seed", str(seed)]) == 1
+        assert capsys.readouterr().err == f"error: --seed must lie in [0, inf), got {seed}\n"
 
     def test_unknown_command_exit_one(self):
         assert run_cli("frobnicate").returncode == 1

@@ -8,23 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperconc import (
-    DIAGONAL_OUTCOMES,
     Dof,
     DofAmplitudes,
     FullState,
     GhzForm,
     ParityOutcome,
     RandomSource,
-    diagonal_branch,
-    diagonal_components,
     ghz_to_full,
-    maximal_ghz,
     measure_diagonal,
     parity_branch,
     parity_measure,
-    prepare_ancilla,
     tensor,
 )
+from hyperconc.measurement import DIAGONAL_OUTCOMES, diagonal_branch, diagonal_components
+from hyperconc.states import maximal_ghz, prepare_ancilla
 
 
 def joint_state(alpha_sq=0.8, delta_sq=0.6, n=2):

@@ -82,7 +82,7 @@ class TestEnumeration:
             tree.residual_coefficients(BranchClass.EE)
 
     def test_every_success_leaf_is_ee_and_corrected(self):
-        from hyperconc import full_to_ghz, is_maximal
+        from hyperconc.states import full_to_ghz, is_maximal
 
         tree = enumerate_scheme("b", 2, 0.8, 0.6)
         for leaf in tree.leaves:
@@ -102,7 +102,7 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_scheme("a", 9, 0.8, 0.6)  # ancilla join exceeds the cap
         with pytest.raises(ValueError):
-            enumerate_scheme("b", 6, 0.8, 0.6, photon_cap=10)
+            enumerate_scheme("b", 5, 0.8, 0.6)  # 10 photons, the first over the cap
 
     def test_scheme_and_size_validated(self):
         with pytest.raises(ValueError):

@@ -8,23 +8,22 @@ from hypothesis import strategies as st
 
 from hyperconc import (
     BranchClass,
+    Dof,
     DofAmplitudes,
+    Gate,
     GhzForm,
+    ParityOutcome,
     RandomSource,
-    branch_concentrates,
-    classify_residual,
-    corrections_from_outcomes,
     estimate_parameters,
     ghz_to_full,
-    fidelity,
-    is_maximal,
     iterate_scheme_a,
     iterate_scheme_b_pool,
-    maximal_ghz,
     run_scheme_a_round,
     run_scheme_b_round,
 )
 from hyperconc.measurement import DiagonalOutcome
+from hyperconc.protocol import _finish_round, branch_concentrates, classify_residual
+from hyperconc.states import fidelity, is_maximal, maximal_ghz
 
 
 def ghz(n, alpha_sq, delta_sq):
@@ -48,15 +47,19 @@ def collect_branches(run_one, seeds=range(400)):
 
 class TestCorrections:
     def test_minus_counts_fold_mod_two(self):
-        outs = [DiagonalOutcome(-1, 1), DiagonalOutcome(-1, -1), DiagonalOutcome(1, -1)]
-        cp = corrections_from_outcomes(outs)
-        assert (cp.pol, cp.spa) == (0, 0)
-        cp = corrections_from_outcomes(outs[:2])
-        assert (cp.pol, cp.spa) == (0, 1)
+        # A Z on photon 0 in each degree of freedom whose minus count is odd.
+        outs = (DiagonalOutcome(-1, 1), DiagonalOutcome(-1, -1), DiagonalOutcome(1, -1))
+        state = ghz_to_full(maximal_ghz(2))
+        even = ParityOutcome.EVEN
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            corrections_from_outcomes([])
+        def corrections(diag):
+            return _finish_round(state, even, even, diag).corrections
+
+        pol_z, spa_z = (0, Dof.POLARIZATION, Gate.Z), (0, Dof.SPATIAL, Gate.Z)
+        assert corrections(outs) == ()
+        assert corrections(outs[:2]) == (spa_z,)
+        assert corrections(outs[:1]) == (pol_z,)
+        assert corrections(outs[1:2]) == (pol_z, spa_z)
 
 
 class TestSchemeARound:

@@ -25,20 +25,17 @@ from hyperconc import (
     PoolReport,
     PoolRound,
     RandomSource,
-    branch_concentrates,
-    classify_residual,
-    flip_copy,
     ghz_to_full,
     iterate_scheme_a,
     iterate_scheme_b_pool,
-    prepare_ancilla,
     run_scheme_b_round,
     tensor,
 )
 from hyperconc import cli, protocol, sampling
 from hyperconc.measurement import RowDraws
-from hyperconc.protocol import run_round_batch
+from hyperconc.protocol import branch_concentrates, classify_residual, run_round_batch
 from hyperconc.sampling import McReport, mc_estimate
+from hyperconc.states import flip_copy, prepare_ancilla
 
 GOLDEN_SIMULATE = Path(__file__).parent / "data" / "simulate_golden.txt"
 HEADER = "$ hyperconc simulate "

@@ -8,23 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperconc import (
-    BALANCED,
-    PHOTON_CAP,
     Dof,
     DofAmplitudes,
     FullState,
     Gate,
     GhzForm,
     apply_single_photon_gate,
-    fidelity,
-    flip_copy,
     full_to_ghz,
     ghz_to_full,
+    tensor,
+)
+from hyperconc.states import (
+    BALANCED,
+    PHOTON_CAP,
+    fidelity,
+    flip_copy,
     is_maximal,
     maximal_ghz,
     prepare_ancilla,
-    prepare_partial_ghz,
-    tensor,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -191,7 +192,7 @@ class TestPreparation:
         assert not is_maximal(GhzForm(2, BALANCED, BALANCED, pol_sign=-1))
 
     def test_prepare_partial_ghz(self):
-        g = prepare_partial_ghz(
+        g = GhzForm(
             3,
             DofAmplitudes.from_first_probability(0.7),
             DofAmplitudes.from_first_probability(0.4),
