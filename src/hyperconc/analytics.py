@@ -16,6 +16,11 @@ the 2^k-th powers of the original amplitudes; they are evaluated through the
 squaring recursion, which stays finite and NaN-free where literal powers
 would underflow.
 
+Every evaluator takes its parameters as floats or as float64 arrays of one
+shape, and runs the same lines on both: elementwise ``+ - * /`` on float64
+arrays rounds exactly as on Python floats, so a grid evaluated in one array
+call holds the bits of its points evaluated one at a time.
+
 Two independent evaluators of the same iteration are kept side by side: an
 explicitly unrolled per-round sum and an absorbing Markov chain over the
 states {done, eo, oe, oo}.  ``total_success`` runs both and insists they
@@ -32,25 +37,44 @@ from .errors import ConsistencyError
 
 _CONSISTENCY_TOL = 1e-12
 
+# A parameter or a value derived from parameters: a float, or a float64
+# array holding one value per point.
+Value = float | np.ndarray
 
-def _check_param(name: str, p: float) -> float:
-    p = float(p)
+
+def _check_param(name: str, p: Value) -> Value:
+    # A Python float is tested first: the float path runs this twice a round.
+    if type(p) is not float:
+        if isinstance(p, np.ndarray):
+            p = p.astype(np.float64, copy=False)
+            inside = (p >= 0.0) & (p <= 1.0)  # false at NaN
+            if not inside.all():
+                raise ValueError(f"{name} must lie in [0, 1], got {p[~inside][0]}")
+            return p
+        p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {p}")
     return p
+
+
+def _within(dev: Value, tol: float) -> bool:
+    """Whether ``dev <= tol`` at every point; NaN is not within."""
+    if type(dev) is float:
+        return dev <= tol
+    return bool(np.all(dev <= tol))
 
 
 @dataclass(frozen=True)
 class BranchProbs:
     """Round-1 branch probabilities; they sum to one."""
 
-    ee: float
-    eo: float
-    oe: float
-    oo: float
+    ee: Value
+    eo: Value
+    oe: Value
+    oo: Value
 
 
-def round1_probabilities(alpha_sq: float, delta_sq: float) -> BranchProbs:
+def round1_probabilities(alpha_sq: Value, delta_sq: Value) -> BranchProbs:
     """Branch split of the first round for the given input parameters."""
     a = _check_param("alpha_sq", alpha_sq)
     c = _check_param("delta_sq", delta_sq)
@@ -67,13 +91,13 @@ def round1_probabilities(alpha_sq: float, delta_sq: float) -> BranchProbs:
     )
 
 
-def squared_renormalized(p: float) -> float:
+def squared_renormalized(p: Value) -> Value:
     """One failed-round update of a squared coefficient: p^2/(p^2+(1-p)^2)."""
     q = 1.0 - p
     return p * p / (p * p + q * q)
 
 
-def coefficient_at_round(p: float, k: int) -> float:
+def coefficient_at_round(p: Value, k: int) -> Value:
     """Squared coefficient entering round k (k-1 squaring updates applied)."""
     if k < 1:
         raise ValueError("round index must be at least 1")
@@ -94,17 +118,17 @@ class RoundTable:
     """
 
     k: int
-    eo_s: float
-    eo_f: float
-    oe_s: float
-    oe_f: float
-    oo_ee: float
-    oo_eo: float
-    oo_oe: float
-    oo_oo: float
+    eo_s: Value
+    eo_f: Value
+    oe_s: Value
+    oe_f: Value
+    oo_ee: Value
+    oo_eo: Value
+    oo_oe: Value
+    oo_oo: Value
 
 
-def branch_rates(k: int, alpha_sq: float, delta_sq: float) -> RoundTable:
+def branch_rates(k: int, alpha_sq: Value, delta_sq: Value) -> RoundTable:
     """Rates of round k (k >= 2) as functions of the round-1 parameters."""
     if k < 2:
         raise ValueError("branch rates are defined for rounds k >= 2")
@@ -127,7 +151,7 @@ def branch_rates(k: int, alpha_sq: float, delta_sq: float) -> RoundTable:
     )
 
 
-def round_success_unrolled(k: int, alpha_sq: float, delta_sq: float) -> float:
+def round_success_unrolled(k: int, alpha_sq: Value, delta_sq: Value) -> Value:
     """Probability that the iteration first succeeds exactly at round k.
 
     Round 1 is the ee branch.  Round 2 collects the three ways a round-1
@@ -144,7 +168,7 @@ def round_success_unrolled(k: int, alpha_sq: float, delta_sq: float) -> float:
     if k == 2:
         return p1.eo * r[2].eo_s + p1.oe * r[2].oe_s + p1.oo * r[2].oo_ee
 
-    def prod(values: list[float]) -> float:
+    def prod(values: list[Value]) -> Value:
         out = 1.0
         for v in values:
             out *= v
@@ -168,25 +192,25 @@ def round_success_unrolled(k: int, alpha_sq: float, delta_sq: float) -> float:
 class BranchDistribution:
     """Mass over {done, eo, oe, oo} during the iteration; sums to one."""
 
-    done: float
-    eo: float
-    oe: float
-    oo: float
+    done: Value
+    eo: Value
+    oe: Value
+    oo: Value
 
     def __post_init__(self) -> None:
         total = self.done + self.eo + self.oe + self.oo
-        if abs(total - 1.0) > 1e-9:
+        if not _within(abs(total - 1.0), 1e-9):
             raise ValueError(f"branch distribution must sum to 1, got {total}")
 
 
-def initial_distribution(alpha_sq: float, delta_sq: float) -> BranchDistribution:
+def initial_distribution(alpha_sq: Value, delta_sq: Value) -> BranchDistribution:
     """Distribution after round 1: the ee mass is already done."""
     p1 = round1_probabilities(alpha_sq, delta_sq)
     return BranchDistribution(done=p1.ee, eo=p1.eo, oe=p1.oe, oo=p1.oo)
 
 
 def markov_evolve(
-    dist: BranchDistribution, k: int, alpha_sq: float, delta_sq: float
+    dist: BranchDistribution, k: int, alpha_sq: Value, delta_sq: Value
 ) -> BranchDistribution:
     """Advance the distribution through round k (k >= 2).
 
@@ -203,12 +227,13 @@ def markov_evolve(
     )
 
 
-def total_success(n_rounds: int, alpha_sq: float, delta_sq: float) -> float:
-    """Probability of success within ``n_rounds`` rounds.
+def total_success(n_rounds: int, alpha_sq: Value, delta_sq: Value) -> Value:
+    """Probability of success within ``n_rounds`` rounds, at one point or at
+    every point of equal-shape ``alpha_sq`` and ``delta_sq`` arrays.
 
     Evaluated along both routes (unrolled per-round sum, Markov evolution);
-    raises ``ConsistencyError`` when they disagree beyond 1e-12.  The Markov
-    value is returned.
+    raises ``ConsistencyError`` when they disagree beyond 1e-12, naming the
+    worst point.  The Markov value is returned.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be at least 1")
@@ -216,10 +241,16 @@ def total_success(n_rounds: int, alpha_sq: float, delta_sq: float) -> float:
     for k in range(2, n_rounds + 1):
         dist = markov_evolve(dist, k, alpha_sq, delta_sq)
     unrolled = sum(round_success_unrolled(k, alpha_sq, delta_sq) for k in range(1, n_rounds + 1))
-    if abs(dist.done - unrolled) > _CONSISTENCY_TOL:
+    dev = abs(dist.done - unrolled)
+    if not _within(dev, _CONSISTENCY_TOL):
+        at = np.unravel_index(np.argmax(dev), np.shape(dev))  # the first NaN, if any
+        a, c, markov, unroll = (
+            float(np.broadcast_to(v, np.shape(dev))[at])
+            for v in (alpha_sq, delta_sq, dist.done, unrolled)
+        )
         raise ConsistencyError(
-            f"evaluators disagree: markov {dist.done!r} vs unrolled {unrolled!r} "
-            f"at alpha_sq={alpha_sq}, delta_sq={delta_sq}, n_rounds={n_rounds}"
+            f"evaluators disagree: markov {markov!r} vs unrolled {unroll!r} "
+            f"at alpha_sq={a}, delta_sq={c}, n_rounds={n_rounds}"
         )
     return dist.done
 
@@ -236,22 +267,17 @@ def grid_axis(resolution: int, include_endpoints: bool = False) -> np.ndarray:
 def grid_sweep(
     n_rounds: int, resolution: int, include_endpoints: bool = False
 ) -> np.ndarray:
-    """Total success over a square parameter grid.
+    """Total success over a square parameter grid, in one array call.
 
     Returns an array of rows (alpha_sq, delta_sq, p_total), row-major with
     alpha_sq varying slowest.
     """
     axis = grid_axis(resolution, include_endpoints)
-    rows = np.empty((len(axis) * len(axis), 3))
-    i = 0
-    for a in axis:
-        for c in axis:
-            rows[i] = (a, c, total_success(n_rounds, float(a), float(c)))
-            i += 1
-    return rows
+    a, c = np.meshgrid(axis, axis, indexing="ij")
+    return np.column_stack([a.ravel(), c.ravel(), total_success(n_rounds, a, c).ravel()])
 
 
-def pool_expected_yield(n_rounds: int, alpha_sq: float, delta_sq: float) -> float:
+def pool_expected_yield(n_rounds: int, alpha_sq: Value, delta_sq: Value) -> Value:
     """Expected distilled states per initial copy in a large two-copy pool.
 
     Unlike the ancilla-assisted iteration, every retry of the two-copy scheme

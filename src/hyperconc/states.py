@@ -196,8 +196,11 @@ class FullState:
         rows.flags.writeable = False
         # These norms are summed in another order than np.linalg.norm's, so
         # only rows well inside the tolerance skip the norm rule; the rest,
-        # zero rows included, get the rule with its own norm.
-        norms = np.sqrt(np.sum(rows.real**2 + rows.imag**2, axis=1))
+        # zero rows included, get the rule with its own norm.  The sum of
+        # squares runs over the float64 view, so it allocates no full-size
+        # temporary.
+        v = rows.view(np.float64)
+        norms = np.sqrt(np.einsum("ij,ij->i", v, v))
         trusted = (np.abs(norms - 1.0) <= 0.1 * _RENORM_TOL).tolist()
         return [
             cls._wrap(n_photons, row) if ok else cls._adopt(n_photons, row)

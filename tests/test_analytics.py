@@ -1,10 +1,13 @@
 """Closed-form rates, the two success evaluators, grids, and pool yield."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperconc import analytics
 from hyperconc.analytics import (
     BranchDistribution,
     RoundTable,
@@ -20,8 +23,14 @@ from hyperconc.analytics import (
     squared_renormalized,
     total_success,
 )
+from hyperconc.errors import ConsistencyError
+from hyperconc.sampling import mc_estimate
 
 params = st.floats(0.01, 0.99)
+
+# The edges of the parameter square, where the routes are most likely to
+# disagree: both degenerate ends, underflow, and either side of balance.
+EDGES = (0.0, 1e-300, 1e-12, 0.5 - 1e-12, 0.5, 0.5 + 1e-12, 1.0 - 1e-12, 1.0)
 
 
 def branch_rates_literal(k: int, alpha_sq: float, delta_sq: float) -> RoundTable:
@@ -224,6 +233,78 @@ class TestGrid:
     def test_resolution_validated(self):
         with pytest.raises(ValueError):
             grid_axis(1)
+
+    @pytest.mark.parametrize("rounds, resolution, endpoints", [(5, 41, False), (20, 21, True)])
+    def test_sweep_equals_float_calls_bit_for_bit(self, rounds, resolution, endpoints):
+        axis = grid_axis(resolution, endpoints)
+        want = np.array(
+            [(a, c, total_success(rounds, float(a), float(c))) for a in axis for c in axis]
+        )
+        assert grid_sweep(rounds, resolution, endpoints).tobytes() == want.tobytes()
+
+
+class TestArrays:
+    """Equal-shape arrays run the float lines elementwise."""
+
+    def test_out_of_range_or_nan_rejected(self):
+        good = np.array([0.2, 0.7])
+        for bad in (np.array([0.2, 1.5]), np.array([-1e-300, 0.5]), np.array([0.2, np.nan])):
+            with pytest.raises(ValueError, match="must lie in"):
+                total_success(3, bad, good)
+            with pytest.raises(ValueError, match="must lie in"):
+                total_success(3, good, bad)
+
+    def test_distribution_checked_at_every_point(self):
+        ok = np.array([0.25, 0.25])
+        BranchDistribution(done=ok, eo=ok, oe=ok, oo=ok)
+        with pytest.raises(ValueError, match="sum to 1"):
+            BranchDistribution(done=np.array([0.25, 0.5]), eo=ok, oe=ok, oo=ok)
+        with pytest.raises(ValueError, match="sum to 1"):
+            BranchDistribution(done=np.array([0.25, np.nan]), eo=ok, oe=ok, oo=ok)
+
+    def test_pool_yield_equals_float_calls(self):
+        axis = grid_axis(9, include_endpoints=True)
+        a, d = np.meshgrid(axis, axis, indexing="ij")
+        want = [[pool_expected_yield(7, float(x), float(z)) for z in axis] for x in axis]
+        assert pool_expected_yield(7, a, d).tobytes() == np.array(want).tobytes()
+
+    def test_disagreement_names_the_worst_point(self, monkeypatch):
+        unrolled = analytics.round_success_unrolled
+        shift = np.array([[0.0, 1e-9], [3e-9, 0.0]])
+        monkeypatch.setattr(
+            analytics, "round_success_unrolled", lambda k, a, d: unrolled(k, a, d) + shift
+        )
+        a, d = np.meshgrid([0.2, 0.7], [0.3, 0.6], indexing="ij")
+        with pytest.raises(ConsistencyError, match=r"alpha_sq=0\.7, delta_sq=0\.3, n_rounds=3"):
+            total_success(3, a, d)
+
+
+class TestEdgeSquare:
+    """The routes on the 8x8 square of edge values."""
+
+    def test_array_call_equals_float_calls(self):
+        a, d = np.meshgrid(EDGES, EDGES, indexing="ij")
+        got = total_success(50, a, d)
+        assert got.shape == (8, 8)
+        for (i, j), value in np.ndenumerate(got):
+            want = total_success(50, EDGES[i], EDGES[j])
+            assert float(value).hex() == want.hex(), (EDGES[i], EDGES[j])
+            assert 0.0 <= want <= 1.0 + 1e-12, (EDGES[i], EDGES[j], want)
+
+    def test_pool_yield_finite(self):
+        for a in EDGES:
+            for d in EDGES:
+                assert math.isfinite(pool_expected_yield(50, a, d)), (a, d)
+
+    @pytest.mark.parametrize("scheme", ["a", "b"])
+    def test_monte_carlo_within_four_standard_errors(self, scheme):
+        trials = 2000
+        for a in EDGES:
+            for d in EDGES:
+                rate = mc_estimate(scheme, 2, a, d, 4, trials, 3).success_rate
+                want = total_success(4, a, d) if scheme == "a" else pool_expected_yield(4, a, d)
+                sigma = math.sqrt(max(want * (1.0 - want), 1e-12) / trials)
+                assert abs(rate - want) <= 4.0 * sigma, (a, d, rate, want)
 
 
 class TestPoolYield:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,16 @@ class TestGrid:
         a = run_cli("grid", "--rounds", "3", "--resolution", "5", check=True)
         b = run_cli("grid", "--rounds", "3", "--resolution", "5", check=True)
         assert a.stdout == b.stdout
+
+    def test_worst_case_within_budget(self, capsys):
+        # The largest grid the limits admit: 10,201 points at 50 rounds.
+        t0 = time.perf_counter()
+        code = cli.main(["grid", "--rounds", "50", "--resolution", "101"])
+        elapsed = time.perf_counter() - t0
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert len(lines) == 1 + 10_201
+        assert elapsed < 30.0, f"{elapsed:.1f}s (budget 30s)"
 
 
 class TestSimulate:

@@ -9,6 +9,7 @@ The loop is kept below as ``reference_enumerate``.
 """
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +266,20 @@ class TestFromRows:
         states = FullState._from_rows(1, view)
         rows[0, 0] = 5.0
         assert states[0].amplitudes[0] != 5.0
+
+    def test_norm_pass_allocates_no_full_size_temporaries(self):
+        # The 1,024 leaves of this call hold 4 MiB of amplitudes.  A norm
+        # pass over squared real and imaginary parts adds three 2 MiB
+        # temporaries and lifts the peak to about 9 MiB.
+        enumerate_scheme("b", 4, 0.8, 0.6)
+        tracemalloc.start()
+        try:
+            tree = enumerate_scheme("b", 4, 0.8, 0.6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tree.leaves) == 1024
+        assert peak < 6.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_shape_and_photon_count_checked(self):
         with pytest.raises(ValueError):
