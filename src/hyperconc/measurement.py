@@ -65,7 +65,8 @@ class RandomSource:
 
     Equal seeds yield identical outcome sequences on any platform.  ``derive``
     builds an independent child stream from the seed and an index, so batches
-    of trials can be reproduced individually.
+    of trials can be reproduced individually; ``derive_block`` builds many
+    consecutive children at once, drawing the same uniforms.
     """
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
@@ -84,6 +85,145 @@ class RandomSource:
     def derive(self, index: int) -> "RandomSource":
         """Child source determined by (seed, ..., index)."""
         return RandomSource(self.seed, self._path + (int(index),))
+
+    def derive_block(self, start: int, count: int) -> "SubstreamBlock":
+        """The children ``derive(start)`` ... ``derive(start + count - 1)`` side by side."""
+        if start < 0 or count < 1 or start + count > _SPAWN_LIMIT:
+            raise ValueError(f"block [{start}, {start + count}) must lie in [0, 2**32)")
+        return SubstreamBlock(self.seed, self._path, start, count)
+
+
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 (XSL-RR output)
+# constants, from numpy/random/bit_generator.pyx and pcg64.h.
+_M32 = 0xFFFFFFFF
+# Derived indices below this take one uint32 spawn word, the only case the
+# block deriver handles.
+_SPAWN_LIMIT = 2**32
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix on a word or a uint64 array of words.
+
+    Returns the mixed value and the next hash constant, which depends on
+    nothing but the number of words mixed before.  ``generate_state`` mixes
+    the same way with ``_MULT_B``.
+    """
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _M32
+    value = (value * hash_const) & _M32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x, y):
+    result = (_MIX_L * x - _MIX_R * y) & _M32
+    return result ^ (result >> 16)
+
+
+def _uint32_words(value: int) -> list[int]:
+    """numpy's little-endian uint32 words of a nonnegative int; 0 is one word."""
+    words = [value & _M32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _M32)
+    return words
+
+
+def _seed_prefix(seed: int, path: tuple[int, ...]) -> tuple[list[int], int]:
+    """Pool and hash constant of ``SeedSequence(seed, spawn_key=path + (t,))``
+    after every entropy word but the trailing ``t``.
+
+    A non-empty spawn key pads the seed's words to the pool size, so ``t``
+    is always mixed in last, one word into each pool word.
+    """
+    entropy = _uint32_words(seed)
+    entropy += [0] * (4 - len(entropy))
+    for value in path:
+        entropy += _uint32_words(value)
+    hash_const = _INIT_A
+    pool = []
+    for word in entropy[:4]:
+        mixed, hash_const = _hashmix(word, hash_const)
+        pool.append(mixed)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], mixed)
+    for word in entropy[4:]:
+        for dst in range(4):
+            mixed, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], mixed)
+    return pool, hash_const
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products ``a * b``, on 32-bit limbs."""
+    a0, a1 = a & _M32, a >> 32
+    b0, b1 = b & _M32, b >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> 32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+class SubstreamBlock:
+    """PCG64 streams of consecutive derived children, advanced together.
+
+    Row ``r`` is the stream of ``RandomSource(seed, path).derive(start + r)``:
+    the SeedSequence mixing, PCG64 seeding and output function run on uint64
+    arrays with one entry per row, and every row draws exactly the doubles
+    its own ``Generator`` would.  State stays per row, so rows may draw
+    different amounts.
+    """
+
+    def __init__(self, seed: int, path: tuple[int, ...], start: int, count: int):
+        pool, hash_const = _seed_prefix(seed, path)
+        index = np.arange(start, start + count, dtype=np.uint64)
+        pools = []
+        for word in pool:
+            mixed, hash_const = _hashmix(index, hash_const)
+            pools.append(_mix(word, mixed))
+        # generate_state(4, uint64): eight words cycling over the pool.
+        hash_const = _INIT_B
+        words = []
+        for i in range(8):
+            value, hash_const = _hashmix(pools[i % 4], hash_const, _MULT_B)
+            words.append(value)
+        seed_hi, seed_lo, inc_hi, inc_lo = (
+            words[2 * i] | (words[2 * i + 1] << 32) for i in range(4)
+        )
+        # pcg_setseq_128_srandom_r: inc = 2 * initseq + 1; the state steps
+        # from zero (to inc), adds initstate and steps once more.
+        self._inc_hi = (inc_hi << 1) | (inc_lo >> 63)
+        self._inc_lo = (inc_lo << 1) | 1
+        lo = self._inc_lo + seed_lo
+        hi = self._inc_hi + seed_hi + (lo < seed_lo)
+        self._hi, self._lo = self._step(hi, lo, self._inc_hi, self._inc_lo)
+
+    @staticmethod
+    def _step(hi, lo, inc_hi, inc_lo):
+        """state * multiplier + increment, modulo 2**128."""
+        prod_lo = lo * _PCG_MULT_LO
+        prod_hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + _mulhi64(lo, _PCG_MULT_LO)
+        new_lo = prod_lo + inc_lo
+        return prod_hi + inc_hi + (new_lo < prod_lo), new_lo
+
+    def uniforms(self, width: int, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """The next ``width`` doubles in [0, 1) of each listed row, one row each."""
+        hi, lo = self._hi[rows], self._lo[rows]
+        inc_hi, inc_lo = self._inc_hi[rows], self._inc_lo[rows]
+        out = np.empty((len(hi), width))
+        for j in range(width):
+            hi, lo = self._step(hi, lo, inc_hi, inc_lo)
+            x = hi ^ lo
+            rot = hi >> 58
+            out[:, j] = ((x >> rot) | (x << ((64 - rot) & 63))) >> 11
+        self._hi[rows], self._lo[rows] = hi, lo
+        out *= 2.0**-53
+        return out
 
 
 @lru_cache(maxsize=None)

@@ -4,15 +4,19 @@ Scheme a runs independent traces, trial ``t`` on the substream derived from
 (seed, t); scheme b runs one pool on the master stream of the seed (see
 :func:`~hyperconc.protocol.iterate_scheme_b_pool`).
 
-Traces are simulated breadth first.  In each round the trials that hold the
-same working state and settled flags form a group; the group's dense states
-are built once per distinct outcome record, and each trial picks its
-outcomes by comparing its own uniforms with the group's branch
-probabilities.  Every trial consumes its substream exactly as
-:func:`~hyperconc.protocol.iterate_scheme_a` would, so the report equals
-that of running the traces one by one.  Each call replays its trial 0
-through ``iterate_scheme_a`` and raises :class:`ConsistencyError` when the
-two disagree.
+Traces are simulated breadth first, in blocks of up to ``_TRIAL_BLOCK``
+trials.  In each round the trials that hold the same working state and
+settled flags form a group; the group's dense states are built once per
+distinct outcome record, and each trial picks its outcomes by comparing its
+own uniforms with the group's branch probabilities.  A block derives all
+its trials' substreams in one array pass
+(:meth:`~hyperconc.measurement.RandomSource.derive_block`), which draws the
+very doubles of ``RandomSource(seed).derive(t)``, and every trial consumes
+its substream exactly as :func:`~hyperconc.protocol.iterate_scheme_a`
+would.  So the report equals that of running the traces one by one and
+does not depend on the block size.  Each call replays its trial 0 through
+``iterate_scheme_a``, on numpy's own generator, and raises
+:class:`ConsistencyError` when the two disagree.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .measurement import RandomSource, RowDraws
+from .measurement import _SPAWN_LIMIT, RandomSource, RowDraws
 from .protocol import (
     BranchClass,
     IterationTrace,
@@ -74,17 +78,19 @@ class _TrialDraws(RowDraws):
     """
 
     def __init__(self, master: RandomSource, start: int, count: int, max_rounds: int):
-        self.sources = [master.derive(t) for t in range(start, start + count)]
-        width = _ROUND_DRAWS * min(max_rounds, _BUFFERED_ROUNDS)
-        super().__init__(np.stack([s.uniforms(width) for s in self.sources]))
+        self.streams = master.derive_block(start, count)
+        super().__init__(self.streams.uniforms(_ROUND_DRAWS * min(max_rounds, _BUFFERED_ROUNDS)))
 
     def refill(self, members: np.ndarray) -> None:
         """Leave every member at least one round's worth of unread uniforms."""
-        width = self.rows.shape[1]
-        for t in members[self.cursor[members] > width - _ROUND_DRAWS]:
-            used = self.cursor[t]
-            self.rows[t] = np.concatenate((self.rows[t, used:], self.sources[t].uniforms(used)))
-            self.cursor[t] = 0
+        low = members[self.cursor[members] > self.rows.shape[1] - _ROUND_DRAWS]
+        used = self.cursor[low]
+        for count in set(used.tolist()):
+            rows = low[used == count]
+            self.rows[rows] = np.concatenate(
+                (self.rows[rows, count:], self.streams.uniforms(count, rows)), axis=1
+            )
+            self.cursor[rows] = 0
 
 
 def _trace_block(
@@ -155,6 +161,8 @@ def mc_estimate(
     check_scheme(scheme)
     if trials < 1:
         raise ValueError("trials must be positive")
+    if trials > _SPAWN_LIMIT:
+        raise ValueError(f"trials must be at most 2**32, got {trials}")
     template = GhzForm(
         n,
         DofAmplitudes.from_first_probability(alpha_sq),

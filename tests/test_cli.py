@@ -12,6 +12,7 @@ import pytest
 from hyperconc import BranchClass, IterationTrace, analytics, cli, oracle, protocol, sampling
 
 GOLDEN = Path(__file__).parent / "data" / "grid_r1_res3.csv"
+VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_seed5.txt"
 
 
 def run_cli(*argv, check=False):
@@ -106,6 +107,19 @@ class TestSimulate:
         b = run_cli(*base, "--seed", "2", check=True)
         assert a.stdout != b.stdout
 
+    def test_million_trials_within_budget(self, capsys):
+        # The trial limit on a three-photon working state: 245 blocks of
+        # substreams derived in array passes.
+        t0 = time.perf_counter()
+        code = cli.main([
+            "simulate", "--scheme", "a", "--n", "3", "--alpha-sq", "0.8", "--delta-sq", "0.6",
+            "--rounds", "5", "--trials", str(cli.SIMULATE_MAX_TRIALS),
+        ])
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["trials"] == 1_000_000
+        assert elapsed < 10.0, f"{elapsed:.1f}s (budget 10s)"
+
     def test_single_trial_wellformed(self):
         proc = run_cli(
             "simulate", "--scheme", "a", "--n", "2", "--alpha-sq", "0.8",
@@ -137,6 +151,13 @@ class TestVerify:
         b = run_cli("verify", "--quick", check=True)
         assert a.stdout == b.stdout
         assert "PASS" in a.stdout and "FAIL" not in a.stdout
+
+    def test_seed_five_bytes_match_golden(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperconc", "verify", "--seed", "5"], capture_output=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == VERIFY_GOLDEN.read_bytes()
 
     def test_failed_check_exits_two(self, monkeypatch, capsys):
         # Move the closed-form round-1 split 1e-6 off the enumerated class
@@ -198,6 +219,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {option} must lie in [") and err.count("\n") == 1, err
         assert err.endswith(f", {limit}], got {limit + 1}\n"), err
+
+    @pytest.mark.parametrize("scheme, n, per_block", [("a", 9, 4096), ("b", 5, 2 * 4096)])
+    def test_simulate_work_limit(self, scheme, n, per_block, capsys, monkeypatch):
+        # At 50 rounds on 10 photons, the most blocks the dense-work limit
+        # admits reach the (stubbed) work; one block more exits 1 with one
+        # error line before any work starts.
+        class Started(Exception):
+            pass
+
+        def start(*args):
+            raise Started
+
+        monkeypatch.setattr(sampling, "mc_estimate", start)
+        blocks = cli.SIMULATE_MAX_WORK // (50 * 4**10)
+        argv = ["simulate", "--scheme", scheme, "--n", str(n), "--alpha-sq", "0.8",
+                "--delta-sq", "0.6", "--rounds", "50", "--trials"]
+        with pytest.raises(Started):
+            cli.main(argv + [str(blocks * per_block)])
+        assert cli.main(argv + [str(blocks * per_block + 2)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulate work ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize(
         "command,seed",

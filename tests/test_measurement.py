@@ -149,6 +149,64 @@ class TestRandomSource:
         assert x == y
 
 
+# Seeds of one to five uint32 words, at the word boundaries.
+EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3)
+# The first index, the last of a default sampler block, the last one allowed.
+EDGE_INDICES = (0, 4095, 2**32 - 1)
+
+
+def assert_rows_match(source, start, rows, got, skip=0):
+    """Row i of ``got`` is the doubles ``skip`` onward of child ``start + rows[i]``."""
+    for i, r in enumerate(rows):
+        want = source.derive(start + int(r)).uniforms(skip + got.shape[1])[skip:]
+        assert got[i].tobytes() == want.tobytes(), (start, r)
+
+
+class TestDeriveBlock:
+    """``derive_block`` draws each child's own Generator doubles, bit for bit."""
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    @pytest.mark.parametrize("path", [(), (2**40 + 1, 3)])
+    def test_edge_seeds_and_indices(self, seed, path):
+        source = RandomSource(seed, path)
+        for t in EDGE_INDICES:
+            block = source.derive_block(t, 1)
+            assert_rows_match(source, t, [0], block.uniforms(5))
+        block = source.derive_block(4090, 10)
+        assert_rows_match(source, 4090, range(10), block.uniforms(3))
+
+    @given(
+        seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**160)),
+        path=st.lists(st.integers(0, 2**40), max_size=2).map(tuple),
+        start=st.one_of(st.sampled_from(EDGE_INDICES), st.integers(0, 2**32 - 1)),
+        count=st.integers(1, 9),
+        w1=st.integers(0, 7),
+        w2=st.integers(1, 7),
+        mask=st.integers(1, 2**9 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_split_draws_and_subset_refills(self, seed, path, start, count, w1, w2, mask):
+        count = min(count, 2**32 - start)
+        source = RandomSource(seed, path)
+        block = source.derive_block(start, count)
+        first = block.uniforms(w1)
+        assert first.shape == (count, w1)
+        assert_rows_match(source, start, range(count), first)
+        # A draw of some rows continues exactly where each of them stopped,
+        # and the rows left out keep their place.
+        subset = [r for r in range(count) if mask >> r & 1] or [0]
+        rest = [r for r in range(count) if r not in subset]
+        for rows in (subset, rest):
+            got = block.uniforms(w2, np.array(rows, dtype=np.intp))
+            assert_rows_match(source, start, rows, got, skip=w1)
+        assert_rows_match(source, start, range(count), block.uniforms(w2), skip=w1 + w2)
+
+    @pytest.mark.parametrize("start, count", [(-1, 2), (0, 0), (2**32 - 1, 2), (2**32, 1)])
+    def test_indices_outside_one_spawn_word_rejected(self, start, count):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            RandomSource(1).derive_block(start, count)
+
+
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2**31), n=st.integers(2, 4))
 def test_parity_branch_total_mass_property(seed, n):

@@ -218,7 +218,7 @@ class TestBatchedEqualsReference:
 
     @given(n=st.integers(2, 4), a=unit, d=unit, k=st.integers(1, 5),
            trials=st.integers(2, 60), seed=seeds)
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, derandomize=True)
     def test_scheme_b(self, n, a, d, k, trials, seed):
         got = mc_estimate("b", n, a, d, k, trials, seed)
         assert got == reference_estimate("b", n, a, d, k, trials, seed)
@@ -239,6 +239,10 @@ class TestBatchedEqualsReference:
     def test_many_rounds_refill_trial_buffers(self, a, d):
         """Traces that outlive the per-trial uniform buffer stay exact."""
         assert mc_estimate("a", 2, a, d, 12, 40, 3) == reference_estimate("a", 2, a, d, 12, 40, 3)
+
+    def test_trials_beyond_one_spawn_word_rejected(self):
+        with pytest.raises(ValueError, match="at most 2\\*\\*32"):
+            mc_estimate("a", 2, 0.5, 0.5, 1, 2**32 + 1)
 
     def test_across_blocks(self, monkeypatch):
         monkeypatch.setattr(sampling, "_TRIAL_BLOCK", 7)
