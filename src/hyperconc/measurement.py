@@ -123,41 +123,23 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-def _uint32_words(value: int) -> list[int]:
-    """numpy's little-endian uint32 words of a nonnegative int; 0 is one word."""
-    words = [value & _M32]
-    while value >> 32:
-        value >>= 32
-        words.append(value & _M32)
-    return words
-
-
 def _seed_prefix(seed: int, path: tuple[int, ...]) -> tuple[list[int], int]:
     """Pool and hash constant of ``SeedSequence(seed, spawn_key=path + (t,))``
     after every entropy word but the trailing ``t``.
 
     A non-empty spawn key pads the seed's words to the pool size, so ``t``
-    is always mixed in last, one word into each pool word.
+    is always mixed in last, one word into each pool word.  The pool before
+    it is that of ``SeedSequence(seed, spawn_key=path)``, and the hash
+    constant has been multiplied once per mix, four times per entropy word.
     """
-    entropy = _uint32_words(seed)
-    entropy += [0] * (4 - len(entropy))
-    for value in path:
-        entropy += _uint32_words(value)
-    hash_const = _INIT_A
-    pool = []
-    for word in entropy[:4]:
-        mixed, hash_const = _hashmix(word, hash_const)
-        pool.append(mixed)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], mixed)
-    for word in entropy[4:]:
-        for dst in range(4):
-            mixed, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], mixed)
-    return pool, hash_const
+    pool = np.random.SeedSequence(seed, spawn_key=path).pool
+    words = max(4, _word_count(seed)) + sum(_word_count(value) for value in path)
+    return pool.tolist(), _INIT_A * pow(_MULT_A, 4 * words, 2**32) & _M32
+
+
+def _word_count(value: int) -> int:
+    """numpy's uint32 word count of a nonnegative int; 0 is one word."""
+    return max(1, -(-value.bit_length() // 32))
 
 
 def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:

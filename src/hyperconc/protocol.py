@@ -131,6 +131,21 @@ def _finish_round(
     )
 
 
+def _dense_round(g: GhzForm, resource: GhzForm, rng: RandomSource) -> RoundResult:
+    # The round of both schemes on dense vectors: parity checks on (photon 0,
+    # photon n), then diagonal readout of every resource photon.  After each
+    # removal the remaining resource photons start at index n again.
+    n = g.n
+    joint = tensor(ghz_to_full(g), ghz_to_full(resource))
+    pol_out, joint = parity_measure(joint, 0, n, Dof.POLARIZATION, rng)
+    spa_out, joint = parity_measure(joint, 0, n, Dof.SPATIAL, rng)
+    outcomes: list[DiagonalOutcome] = []
+    for _ in range(resource.n):
+        outcome, joint = measure_diagonal(joint, n, rng)
+        outcomes.append(outcome)
+    return _finish_round(joint, pol_out, spa_out, tuple(outcomes))
+
+
 def run_scheme_a_round(state: GhzForm, rng: RandomSource) -> RoundResult:
     """One ancilla-assisted round.
 
@@ -140,12 +155,7 @@ def run_scheme_a_round(state: GhzForm, rng: RandomSource) -> RoundResult:
     if state.n < 2:
         raise ValueError("scheme A needs at least two photons in the working state")
     g = state.signs_folded()
-    ancilla = prepare_ancilla(g.pol, g.spa)
-    joint = tensor(ghz_to_full(g), ghz_to_full(ancilla))
-    pol_out, joint = parity_measure(joint, 0, g.n, Dof.POLARIZATION, rng)
-    spa_out, joint = parity_measure(joint, 0, g.n, Dof.SPATIAL, rng)
-    outcome, survivor = measure_diagonal(joint, g.n, rng)
-    return _finish_round(survivor, pol_out, spa_out, (outcome,))
+    return _dense_round(g, prepare_ancilla(g.pol, g.spa), rng)
 
 
 def run_scheme_b_round(copy1: GhzForm, copy2: GhzForm, rng: RandomSource) -> RoundResult:
@@ -167,50 +177,28 @@ def run_scheme_b_round(copy1: GhzForm, copy2: GhzForm, rng: RandomSource) -> Rou
     ):
         if abs(abs(x) - abs(y)) > 1e-9:
             raise ValueError("the two copies must carry identical coefficient moduli")
-    n = g1.n
-    joint = tensor(ghz_to_full(g1), ghz_to_full(flip_copy(g2)))
-    pol_out, joint = parity_measure(joint, 0, n, Dof.POLARIZATION, rng)
-    spa_out, joint = parity_measure(joint, 0, n, Dof.SPATIAL, rng)
-    outcomes: list[DiagonalOutcome] = []
-    for _ in range(n):
-        # After each removal the remaining second-copy photons start at index n.
-        outcome, joint = measure_diagonal(joint, n, rng)
-        outcomes.append(outcome)
-    return _finish_round(joint, pol_out, spa_out, tuple(outcomes))
+    return _dense_round(g1, flip_copy(g2), rng)
 
 
 # One outcome record of a batched round: branch, diagonal outcomes, the
-# survivor before corrections, and the members that drew this record.
+# survivor before corrections (the checked joint state when nothing is read
+# out), and the members that drew this record.
 BatchRecord = tuple[BranchClass, tuple[DiagonalOutcome, ...], FullState, np.ndarray]
 
 
-def _readouts_batch(
-    state: FullState, photon: int, count: int, members: np.ndarray, draw: Draw
-) -> list[tuple[tuple[DiagonalOutcome, ...], FullState, np.ndarray]]:
-    # ``count`` diagonal readouts of ``photon`` in a row, each on the state
-    # the previous one left: (outcomes, final state, members) per record.
-    if count == 0:
-        return [((), state, members)]
-    return [
-        ((outcome,) + rest, final, leaf)
-        for outcome, post, sub in measure_diagonal_batch(state, photon, members, draw)
-        for rest, final, leaf in _readouts_batch(post, photon, count - 1, sub, draw)
-    ]
-
-
 def run_round_batch(
-    joint: FullState, n: int, readouts: int, members: np.ndarray, draw: Draw
+    joint: FullState, n: int, readout: bool, members: np.ndarray, draw: Draw
 ) -> list[BatchRecord]:
     """One round for a batch of trials that all hold the joint state ``joint``.
 
-    The steps are those of :func:`run_scheme_a_round` (``readouts`` = 1) and
-    :func:`run_scheme_b_round` (``readouts`` = n): parity checks on photons
-    0 and ``n``, then diagonal readouts of photon ``n``.  Each member takes
-    its uniforms from ``draw`` in the order the single-trial round takes
-    them from its stream, and every state is built once per distinct
-    outcome, not once per member.  The sign corrections and the extraction
-    of the survivor's form are left out: the iteration loops read only
-    the branch, and ``_finish_round`` applies them to a record on demand.
+    The steps are those of the dense rounds: parity checks on photons 0 and
+    ``n``, then, when ``readout`` is set, the one diagonal readout of
+    :func:`run_scheme_a_round` (photon ``n``).  Each member takes its
+    uniforms from ``draw`` in the order the single-trial round takes them
+    from its stream, and every state is built once per distinct outcome,
+    not once per member.  The sign corrections and the extraction of the
+    survivor's form are left out: the iteration loops read only the branch,
+    and ``_finish_round`` applies them to a record on demand.
     """
     records = []
     for pol_out, after_pol, m_pol in parity_measure_batch(
@@ -220,8 +208,11 @@ def run_round_batch(
             after_pol, 0, n, Dof.SPATIAL, m_pol, draw
         ):
             branch = BranchClass.from_parities(pol_out, spa_out)
-            for diag, survivor, m in _readouts_batch(after_spa, n, readouts, m_spa, draw):
-                records.append((branch, diag, survivor, m))
+            if not readout:
+                records.append((branch, (), after_spa, m_spa))
+                continue
+            for outcome, survivor, m in measure_diagonal_batch(after_spa, n, m_spa, draw):
+                records.append((branch, (outcome,), survivor, m))
     return records
 
 
@@ -253,24 +244,34 @@ def classify_residual(branch: BranchClass, state: GhzForm) -> GhzForm:
     return GhzForm(g.n, pol, spa)
 
 
-def branch_concentrates(branch: BranchClass, pol_fixed: bool, spa_fixed: bool) -> bool:
+# Retry accounting.  A degree of freedom is settled once an even outcome has
+# balanced it; the settled ones form a mask 2 * pol + spa, into which every
+# failed round ORs the checks its branch found even.  FAMILIES[mask] labels a
+# residual by that mask: eo polarization settled, oe spatial, oo neither.
+FAMILIES = ("oo", "oe", "eo", "ee")
+_ALL_SETTLED = 3
+
+
+def settled_by(branch: BranchClass) -> int:
+    """The degrees of freedom ``branch`` found even, as a settled mask."""
+    return FAMILIES.index(branch.value)
+
+
+def concentrates(settled: int, branch: BranchClass) -> bool:
     """Retry-accounting success rule for one round.
 
-    A degree of freedom counts as settled once an even outcome has balanced it
-    in some earlier round (the ``*_fixed`` flags); the round concentrates when
-    every unsettled degree of freedom comes out even.  Fresh states therefore
-    only succeed on the ee branch, regardless of their coefficients.
+    The round concentrates when every degree of freedom not in the mask
+    ``settled`` comes out even.  Fresh states (mask 0) therefore only
+    succeed on the ee branch, regardless of their coefficients.
     """
-    pol_even = branch in (BranchClass.EE, BranchClass.EO)
-    spa_even = branch in (BranchClass.EE, BranchClass.OE)
-    return (pol_fixed or pol_even) and (spa_fixed or spa_even)
+    return settled | settled_by(branch) == _ALL_SETTLED
 
 
 @dataclass(frozen=True)
 class IterationTrace:
     """Outcome record of repeated rounds on one working state.
 
-    ``succeeded`` follows the retry accounting of :func:`branch_concentrates`,
+    ``succeeded`` follows the retry accounting of :func:`concentrates`,
     not the per-round physical flag, so balanced inputs are still counted
     through their parity history.
     """
@@ -291,14 +292,13 @@ def iterate_scheme_a(state: GhzForm, max_rounds: int, rng: RandomSource) -> Iter
         raise ValueError("max_rounds must be at least 1")
     working = state.signs_folded()
     results: list[RoundResult] = []
-    pol_fixed = spa_fixed = False
+    settled = 0
     for k in range(1, max_rounds + 1):
         res = run_scheme_a_round(working, rng)
         results.append(res)
-        if branch_concentrates(res.branch, pol_fixed, spa_fixed):
+        if concentrates(settled, res.branch):
             return IterationTrace(tuple(results), True, k, k)
-        pol_fixed = pol_fixed or res.branch in (BranchClass.EE, BranchClass.EO)
-        spa_fixed = spa_fixed or res.branch in (BranchClass.EE, BranchClass.OE)
+        settled |= settled_by(res.branch)
         working = classify_residual(res.branch, working)
     return IterationTrace(tuple(results), False, max_rounds, None)
 
@@ -378,9 +378,11 @@ def _pair_uniforms(
 def _bucket_rounds(g: GhzForm, pairs: int, rng: RandomSource) -> Iterator[BatchRecord]:
     """``pairs`` calls of ``run_scheme_b_round(g, g, rng)`` in a row, batched.
 
-    Yields the outcome records; their members are pair indices.  ``rng`` is
-    consumed exactly as by the calls one after another: pair by pair, each
-    pair's draws in order.
+    Yields the outcome records up to the parity checks; their members are
+    pair indices.  ``rng`` is consumed exactly as by the calls one after
+    another: pair by pair, each pair's draws in order.  Every pair's row
+    already holds its readout uniforms, and no caller reads the readouts,
+    so none is simulated.
     """
     g = g.signs_folded()
     n = g.n
@@ -390,7 +392,7 @@ def _bucket_rounds(g: GhzForm, pairs: int, rng: RandomSource) -> Iterator[BatchR
         size = min(_PAIR_BLOCK, pairs - start)
         rows = RowDraws(_pair_uniforms(rng, size, p_even, draws))
         for branch, diag, survivor, members in run_round_batch(
-            joint, n, n, np.arange(size), rows
+            joint, n, False, np.arange(size), rows
         ):
             yield branch, diag, survivor, members + start
 
@@ -401,17 +403,18 @@ def iterate_scheme_b_pool(
     """Drive a pool of identical copies through two-copy rounds.
 
     States pair only with states of identical coefficients, so buckets are
-    keyed by (settled flags, round of creation); same-age residuals of the
+    keyed by (settled mask, round of creation); same-age residuals of the
     same family merge even when different branches produced them, while an
     unpaired leftover stays in its bucket and can never mix with the
     (differently squared) residuals of later rounds.
 
     The pairs of a bucket are simulated together (see
-    :func:`run_round_batch`), and the results equal those of running
-    ``run_scheme_b_round`` pair by pair, buckets in creation order, on
-    ``rng``: new buckets and residual tallies enter in the order of the
-    first pair that produces them, and a merged bucket keeps the state of
-    its first contributor.
+    :func:`run_round_batch`), and only up to the parity checks, which
+    decide the branch: the diagonal readouts change no branch, so they are
+    skipped.  The results equal those of running ``run_scheme_b_round``
+    pair by pair, buckets in creation order, on ``rng``: new buckets and
+    residual tallies enter in the order of the first pair that produces
+    them, and a merged bucket keeps the state of its first contributor.
     """
     if count < 2:
         raise ValueError("the pool needs at least two copies")
@@ -419,10 +422,8 @@ def iterate_scheme_b_pool(
         raise ValueError("max_rounds must be at least 1")
     if template.n < 2:
         raise ValueError("scheme B needs at least two photons per copy")
-    BucketKey = tuple[bool, bool, int]  # (pol settled, spa settled, birth round)
-    buckets: dict[BucketKey, tuple[GhzForm, int]] = {
-        (False, False, 0): (template.signs_folded(), count)
-    }
+    BucketKey = tuple[int, int]  # (settled mask, birth round)
+    buckets: dict[BucketKey, tuple[GhzForm, int]] = {(0, 0): (template.signs_folded(), count)}
     rounds: list[PoolRound] = []
     distilled = 0
     pairs_attempted = 0
@@ -443,9 +444,9 @@ def iterate_scheme_b_pool(
             else:
                 new_buckets[key] = (g, k)
 
-        for (pol_fixed, spa_fixed, birth), (g, cnt) in buckets.items():
+        for (settled, birth), (g, cnt) in buckets.items():
             # odd leftover carries, stranded in its bucket
-            _add((pol_fixed, spa_fixed, birth), g, cnt % 2)
+            _add((settled, birth), g, cnt % 2)
             if cnt < 2:
                 continue
             residuals: dict[BranchClass, tuple[int, int]] = {}  # (first pair, pairs)
@@ -453,26 +454,21 @@ def iterate_scheme_b_pool(
             for branch, pairs in branches.items():
                 stats.attempts += len(pairs)
                 pairs_attempted += len(pairs)
-                if branch_concentrates(branch, pol_fixed, spa_fixed):
+                if concentrates(settled, branch):
                     stats.successes += len(pairs)
                     distilled += len(pairs)
                 else:
                     residuals[branch] = (int(pairs.min()), len(pairs))
             for branch, (_, k) in sorted(residuals.items(), key=lambda item: item[1][0]):
                 stats.residual_counts[branch] = stats.residual_counts.get(branch, 0) + k
-                key = (
-                    pol_fixed or branch is BranchClass.EO,
-                    spa_fixed or branch is BranchClass.OE,
-                    r,
-                )
-                _add(key, classify_residual(branch, g), k)
+                _add((settled | settled_by(branch), r), classify_residual(branch, g), k)
         rounds.append(stats)
         buckets = new_buckets
     leftover_counts: dict[str, int] = {}
-    for (pol_fixed, spa_fixed, _), (_, cnt) in buckets.items():
-        label = ("e" if pol_fixed else "o") + ("e" if spa_fixed else "o")
-        if label == "ee":  # both settled cannot persist as a residual
+    for (settled, _), (_, cnt) in buckets.items():
+        if settled == _ALL_SETTLED:  # cannot persist as a residual
             raise ConsistencyError("a fully settled state survived the pool")
+        label = FAMILIES[settled]
         leftover_counts[label] = leftover_counts.get(label, 0) + cnt
     return PoolReport(
         initial_count=count,

@@ -2,11 +2,13 @@
 
 Scheme a runs independent traces, trial ``t`` on the substream derived from
 (seed, t); scheme b runs one pool on the master stream of the seed (see
-:func:`~hyperconc.protocol.iterate_scheme_b_pool`).
+:func:`~hyperconc.protocol.iterate_scheme_b_pool`), whose batched rounds
+stop at the parity checks: they decide the branch, and each pair's readout
+uniforms are drawn with its row but never simulated.
 
 Traces are simulated breadth first, in blocks of up to ``_TRIAL_BLOCK``
 trials.  In each round the trials that hold the same working state and
-settled flags form a group; the group's dense states are built once per
+settled mask form a group; the group's dense states are built once per
 distinct outcome record, and each trial picks its outcomes by comparing its
 own uniforms with the group's branch probabilities.  A block derives all
 its trials' substreams in one array pass
@@ -30,15 +32,16 @@ import numpy as np
 from .errors import ConsistencyError
 from .measurement import _SPAWN_LIMIT, RandomSource, RowDraws
 from .protocol import (
-    BranchClass,
+    FAMILIES,
     IterationTrace,
-    branch_concentrates,
     check_scheme,
     classify_residual,
+    concentrates,
     iterate_scheme_a,
     iterate_scheme_b_pool,
     members_by_branch,
     run_round_batch,
+    settled_by,
 )
 from .states import DofAmplitudes, GhzForm, ghz_to_full, prepare_ancilla, tensor
 
@@ -48,8 +51,6 @@ _TRIAL_BLOCK = 4096
 # and the most rounds' worth buffered per trial between refills.
 _ROUND_DRAWS = 3
 _BUFFERED_ROUNDS = 4
-# Residual family of a failed trace by its settled flags, 2 * pol + spa.
-_FAMILIES = ("oo", "oe", "eo", "ee")
 
 
 @dataclass(frozen=True)
@@ -99,33 +100,28 @@ def _trace_block(
     """``iterate_scheme_a`` for every trial of one block, breadth first.
 
     Returns each trial's success round (0 when every round failed) and its
-    final settled flags as 2 * pol + spa.
+    final settled mask (see :func:`~hyperconc.protocol.concentrates`).
     """
     count = len(draws.rows)
     success = np.zeros(count, dtype=np.intp)
     settled = np.zeros(count, dtype=np.intp)
-    groups = {(template.signs_folded(), False, False): np.arange(count)}
+    groups = {(template.signs_folded(), 0): np.arange(count)}
     for k in range(1, max_rounds + 1):
         if not groups:
             break
-        parts: dict[tuple[GhzForm, bool, bool], list[np.ndarray]] = defaultdict(list)
-        for (g, pol_fixed, spa_fixed), members in groups.items():
+        parts: dict[tuple[GhzForm, int], list[np.ndarray]] = defaultdict(list)
+        for (g, mask), members in groups.items():
             draws.refill(members)
             joint = tensor(ghz_to_full(g), ghz_to_full(prepare_ancilla(g.pol, g.spa)))
-            records = run_round_batch(joint, g.n, 1, members, draws)
+            records = run_round_batch(joint, g.n, True, members, draws)
             for branch, m in members_by_branch(records).items():
-                if branch_concentrates(branch, pol_fixed, spa_fixed):
+                if concentrates(mask, branch):
                     success[m] = k
-                    continue
-                key = (
-                    classify_residual(branch, g),
-                    pol_fixed or branch in (BranchClass.EE, BranchClass.EO),
-                    spa_fixed or branch in (BranchClass.EE, BranchClass.OE),
-                )
-                parts[key].append(m)
+                else:
+                    parts[classify_residual(branch, g), mask | settled_by(branch)].append(m)
         groups = {key: np.concatenate(p) for key, p in parts.items()}
-    for (_, pol_fixed, spa_fixed), members in groups.items():
-        settled[members] = 2 * pol_fixed + spa_fixed
+    for (_, mask), members in groups.items():
+        settled[members] = mask
     return success, settled
 
 
@@ -133,11 +129,10 @@ def _trace_record(trace: IterationTrace) -> tuple[int, str | None]:
     """(success round or 0, residual family of a failed trace)."""
     if trace.succeeded:
         return trace.success_round, None
-    branches = [r.branch for r in trace.rounds]
-    label = ("e" if BranchClass.EO in branches else "o") + (
-        "e" if BranchClass.OE in branches else "o"
-    )
-    return 0, label
+    settled = 0
+    for r in trace.rounds:
+        settled |= settled_by(r.branch)
+    return 0, FAMILIES[settled]
 
 
 def mc_estimate(
@@ -178,7 +173,7 @@ def mc_estimate(
             success, settled = _trace_block(template, max_rounds, draws)
             if start == 0:
                 first = int(success[0])
-                record = (first, None if first else _FAMILIES[settled[0]])
+                record = (first, None if first else FAMILIES[settled[0]])
                 if record != replay:
                     raise ConsistencyError(
                         f"trial 0 of seed {seed}: the batched sampler gives {record}, "
@@ -186,7 +181,7 @@ def mc_estimate(
                     )
             for k, hits in enumerate(np.bincount(success)[1:], start=1):
                 per_round[k - 1] += int(hits)
-            for family, left in zip(_FAMILIES, np.bincount(settled[success == 0], minlength=4)):
+            for family, left in zip(FAMILIES, np.bincount(settled[success == 0], minlength=4)):
                 if left:
                     residual_counts[family] = residual_counts.get(family, 0) + int(left)
         successes = sum(per_round)

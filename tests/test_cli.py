@@ -313,8 +313,9 @@ class TestConsistencyErrors:
         assert code == 2 and "single-trace replay" in err
 
     def test_settled_state_survives_pool(self, monkeypatch, capsys):
-        monkeypatch.setattr(protocol, "branch_concentrates",
-                            lambda branch, pol, spa: branch is BranchClass.EE)
+        # A rule that forgets settled degrees of freedom lets eo meet oe.
+        monkeypatch.setattr(protocol, "concentrates",
+                            lambda settled, branch: branch is BranchClass.EE)
         code, err = self.run(self.SIMULATE_B, capsys)
         assert code == 2 and "fully settled state survived" in err
 

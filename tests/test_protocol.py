@@ -22,7 +22,7 @@ from hyperconc import (
     run_scheme_b_round,
 )
 from hyperconc.measurement import DiagonalOutcome
-from hyperconc.protocol import _finish_round, branch_concentrates, classify_residual
+from hyperconc.protocol import _finish_round, classify_residual, concentrates
 from hyperconc.states import fidelity, is_maximal, maximal_ghz
 
 
@@ -140,16 +140,15 @@ class TestResidualFamilies:
 
 class TestRetryAccounting:
     def test_rule_table(self):
-        # fresh state: only ee concentrates
-        assert branch_concentrates(BranchClass.EE, False, False)
-        assert not branch_concentrates(BranchClass.EO, False, False)
-        assert not branch_concentrates(BranchClass.OE, False, False)
-        assert not branch_concentrates(BranchClass.OO, False, False)
-        # polarization settled: spatial parity decides
-        assert branch_concentrates(BranchClass.OE, True, False)
-        assert not branch_concentrates(BranchClass.EO, True, False)
-        # both settled: any branch concentrates
-        assert all(branch_concentrates(b, True, True) for b in BranchClass)
+        """Every settled mask against every branch: each unsettled degree of
+        freedom must come out even."""
+        for settled in range(4):
+            pol_settled, spa_settled = bool(settled & 2), bool(settled & 1)
+            for branch in BranchClass:
+                pol_even = branch in (BranchClass.EE, BranchClass.EO)
+                spa_even = branch in (BranchClass.EE, BranchClass.OE)
+                want = (pol_settled or pol_even) and (spa_settled or spa_even)
+                assert concentrates(settled, branch) is want, (settled, branch)
 
     def test_balanced_input_round_one_rate_is_one_quarter(self):
         # the physical round flag is true on every branch, but the retry

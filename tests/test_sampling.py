@@ -31,9 +31,15 @@ from hyperconc import (
     run_scheme_b_round,
     tensor,
 )
-from hyperconc import cli, protocol, sampling
+from hyperconc import cli, measurement, protocol, sampling
 from hyperconc.measurement import RowDraws
-from hyperconc.protocol import branch_concentrates, classify_residual, run_round_batch
+from hyperconc.protocol import (
+    FAMILIES,
+    classify_residual,
+    concentrates,
+    run_round_batch,
+    settled_by,
+)
 from hyperconc.sampling import McReport, mc_estimate
 from hyperconc.states import flip_copy, prepare_ancilla
 
@@ -113,7 +119,7 @@ def ghz(n, alpha_sq, delta_sq):
 
 def sequential_pool(count, template, max_rounds, rng):
     """``iterate_scheme_b_pool`` as it ran before batching: one round per pair."""
-    buckets = {(False, False, 0): (template.signs_folded(), count)}
+    buckets = {(0, 0): (template.signs_folded(), count)}
     rounds = []
     distilled = 0
     pairs_attempted = 0
@@ -129,30 +135,26 @@ def sequential_pool(count, template, max_rounds, rng):
             else:
                 new_buckets[key] = (g, k)
 
-        for (pol_fixed, spa_fixed, birth), (g, cnt) in buckets.items():
-            _add((pol_fixed, spa_fixed, birth), g, cnt % 2)
+        for (settled, birth), (g, cnt) in buckets.items():
+            _add((settled, birth), g, cnt % 2)
             for _ in range(cnt // 2):
                 res = run_scheme_b_round(g, g, rng)
                 stats.attempts += 1
                 pairs_attempted += 1
-                if branch_concentrates(res.branch, pol_fixed, spa_fixed):
+                if concentrates(settled, res.branch):
                     stats.successes += 1
                     distilled += 1
                 else:
                     stats.residual_counts[res.branch] = (
                         stats.residual_counts.get(res.branch, 0) + 1
                     )
-                    key = (
-                        pol_fixed or res.branch is BranchClass.EO,
-                        spa_fixed or res.branch is BranchClass.OE,
-                        r,
-                    )
+                    key = (settled | settled_by(res.branch), r)
                     _add(key, classify_residual(res.branch, g), 1)
         rounds.append(stats)
         buckets = new_buckets
     leftover_counts = {}
-    for (pol_fixed, spa_fixed, _), (_, cnt) in buckets.items():
-        label = ("e" if pol_fixed else "o") + ("e" if spa_fixed else "o")
+    for (settled, _), (_, cnt) in buckets.items():
+        label = FAMILIES[settled]
         leftover_counts[label] = leftover_counts.get(label, 0) + cnt
     return PoolReport(
         initial_count=count,
@@ -264,16 +266,14 @@ class TestBatchedEqualsReference:
             assert got == sequential_pool(61, g, 3, RandomSource(seed))
 
 
-@pytest.mark.parametrize("scheme, n", [("a", 2), ("a", 4), ("b", 2), ("b", 3)])
-def test_batched_successes_are_maximal_once_corrected(scheme, n):
-    """Every ee record of a batched round, corrected, is the maximal state."""
+@pytest.mark.parametrize("n", [2, 4], ids=["a-2", "a-4"])
+def test_batched_successes_are_maximal_once_corrected(n):
+    """Every ee record of a batched scheme-a round, corrected, is the maximal state."""
     g = ghz(n, 0.8, 0.6)
-    resource = prepare_ancilla(g.pol, g.spa) if scheme == "a" else flip_copy(g)
-    joint = tensor(ghz_to_full(g), ghz_to_full(resource))
-    readouts = 1 if scheme == "a" else n
+    joint = tensor(ghz_to_full(g), ghz_to_full(prepare_ancilla(g.pol, g.spa)))
     trials = 2000
-    rows = RowDraws(RandomSource(n).uniforms(trials * (2 + readouts)).reshape(trials, -1))
-    records = run_round_batch(joint, n, readouts, np.arange(trials), rows)
+    rows = RowDraws(RandomSource(n).uniforms(trials * 3).reshape(trials, -1))
+    records = run_round_batch(joint, n, True, np.arange(trials), rows)
     members = np.sort(np.concatenate([m for *_, m in records]))
     assert np.array_equal(members, np.arange(trials))
     even = ParityOutcome.EVEN
@@ -290,9 +290,29 @@ def test_batched_successes_are_maximal_once_corrected(scheme, n):
 
 
 def test_oracle_is_independent_of_the_samplers():
+    """The oracle holds no sampler and spells the retry rule on its own."""
     names = vars(hyperconc.oracle)
-    for name in ("iterate_scheme_a", "iterate_scheme_b_pool", "mc_estimate"):
+    for name in ("iterate_scheme_a", "iterate_scheme_b_pool", "mc_estimate",
+                 "concentrates", "settled_by", "FAMILIES"):
         assert name not in names, name
+
+
+def test_pool_reads_out_no_photon(monkeypatch):
+    """The pool's batched rounds end at the parity checks."""
+    calls = 0
+    original = measurement.diagonal_components
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(measurement, "diagonal_components", counting)
+    mc_estimate("b", 3, 0.8, 0.6, 3, 400, 5)
+    assert calls == 0
+    g = ghz(3, 0.8, 0.6)
+    run_scheme_b_round(g, g, RandomSource(0))
+    assert calls == 3  # the single-pair round reads out every second-copy photon
 
 
 def test_scheme_a_builds_states_per_outcome_not_per_trial(monkeypatch):
