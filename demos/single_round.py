@@ -34,11 +34,10 @@ def show(tag, res):
         or "none"
     )
     print(f"corrections applied: {applied}")
-    folded = res.post.signs_folded()
     print(
         f"survivor: {res.post.n} photons, "
-        f"|alpha|^2 = {folded.pol.first_sq():.6f}, "
-        f"|delta|^2 = {folded.spa.first_sq():.6f}"
+        f"|alpha|^2 = {res.post.pol.first_sq():.6f}, "
+        f"|delta|^2 = {res.post.spa.first_sq():.6f}"
     )
     print(f"maximal in both degrees of freedom: {res.succeeded}")
     print()

@@ -209,9 +209,13 @@ def _verify_checks(quick: bool, seed: int):
     grid = analytics.grid_axis(res_small)
     combos = [("a", 2), ("b", 2)] if quick else [("a", 2), ("a", 3), ("b", 2), ("b", 3)]
 
-    # Route 1 vs 2: closed-form round-1 split against exhaustive class masses.
+    # Route 1 vs 2: closed-form round-1 split against exhaustive class masses;
+    # and the residual families: enumerated survivor coefficients against the
+    # squared-coefficient recursion.  One tree per point serves both; the
+    # residual rows follow all the round-1 rows.
+    residual_rows = []
     for scheme, n in combos:
-        dev = 0.0
+        dev = res_dev = 0.0
         for a in grid:
             for c in grid:
                 tree = oracle.enumerate_scheme(scheme, n, float(a), float(c))
@@ -223,26 +227,18 @@ def _verify_checks(quick: bool, seed: int):
                     (BranchClass.OO, p1.oo),
                 ):
                     dev = max(dev, abs(tree.class_mass(branch) - want))
-        yield ("round1-vs-enumeration", f"scheme={scheme} n={n}", dev, 1e-10)
-
-    # Residual families: enumerated survivor coefficients against the
-    # squared-coefficient recursion.
-    for scheme, n in combos:
-        dev = 0.0
-        for a in grid:
-            for c in grid:
-                tree = oracle.enumerate_scheme(scheme, n, float(a), float(c))
                 template = GhzForm(
                     n,
                     DofAmplitudes.from_first_probability(float(a)),
                     DofAmplitudes.from_first_probability(float(c)),
                 )
                 for branch in (BranchClass.EO, BranchClass.OE, BranchClass.OO):
-                    want = classify_residual(branch, template)
-                    wp, ws = want.first_moduli_sq()
+                    wp, ws = classify_residual(branch, template).first_moduli_sq()
                     got_p, got_s = tree.residual_coefficients(branch)
-                    dev = max(dev, abs(got_p - wp), abs(got_s - ws))
-        yield ("residuals-vs-recursion", f"scheme={scheme} n={n}", dev, 1e-10)
+                    res_dev = max(res_dev, abs(got_p - wp), abs(got_s - ws))
+        yield ("round1-vs-enumeration", f"scheme={scheme} n={n}", dev, 1e-10)
+        residual_rows.append(("residuals-vs-recursion", f"scheme={scheme} n={n}", res_dev, 1e-10))
+    yield from residual_rows
 
     # Route 3 internal: unrolled sum against Markov evolution, over the grid
     # in one array call.

@@ -275,12 +275,6 @@ def parity_measure(
     return outcome, _parity_post(state, outcome, p_even, mask)[1]
 
 
-def parity_draws(state: FullState, i: int, j: int, dof: Dof) -> int:
-    """Uniforms ``parity_measure`` draws on ``state``: 0 when forced, else 1."""
-    p_even, _ = _parity_probs(state, i, j, dof)
-    return int(_forced_parity(p_even) is None)
-
-
 # Next uniform of each listed member of a batch, in the members' order.
 Draw = Callable[[np.ndarray], np.ndarray]
 
@@ -378,23 +372,6 @@ def _diagonal_pick(probs: np.ndarray, u):
         sums.append(acc)
     pos = np.searchsorted(sums, u * total, side="right")
     return np.asarray(eligible)[np.minimum(pos, len(eligible) - 1)]
-
-
-def diagonal_branch(
-    state: FullState, photon: int, outcome: DiagonalOutcome
-) -> tuple[float, FullState | None]:
-    """Project one photon onto a diagonal outcome and remove it.
-
-    Returns (probability, renormalized state of the remaining photons), with
-    ``None`` for branches below ``MIN_BRANCH_PROBABILITY``.
-    """
-    comps = diagonal_components(state, photon)
-    k = DIAGONAL_OUTCOMES.index(outcome)
-    part = comps[:, :, k]
-    prob = float(np.sum(part.real**2 + part.imag**2))
-    if prob < MIN_BRANCH_PROBABILITY:
-        return max(prob, 0.0), None
-    return prob, _diagonal_post(state, comps, k, prob)
 
 
 def _diagonal_probs(state: FullState, photon: int) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -37,11 +37,11 @@ from .measurement import (
     Draw,
     ParityOutcome,
     RandomSource,
-    RowDraws,
+    _forced_parity,
+    _parity_post,
+    _parity_probs,
     measure_diagonal,
     measure_diagonal_batch,
-    parity_branch,
-    parity_draws,
     parity_measure,
     parity_measure_batch,
 )
@@ -92,8 +92,8 @@ class BranchClass(Enum):
 class RoundResult:
     """Everything one round produced.
 
-    ``post`` is the corrected survivor state (signs +1).  ``succeeded`` means
-    the survivor is balanced in both degrees of freedom.
+    ``post`` is the corrected survivor state.  ``succeeded`` means the
+    survivor is balanced in both degrees of freedom.
     """
 
     branch: BranchClass
@@ -154,8 +154,7 @@ def run_scheme_a_round(state: GhzForm, rng: RandomSource) -> RoundResult:
     """
     if state.n < 2:
         raise ValueError("scheme A needs at least two photons in the working state")
-    g = state.signs_folded()
-    return _dense_round(g, prepare_ancilla(g.pol, g.spa), rng)
+    return _dense_round(state, prepare_ancilla(state.pol, state.spa), rng)
 
 
 def run_scheme_b_round(copy1: GhzForm, copy2: GhzForm, rng: RandomSource) -> RoundResult:
@@ -169,36 +168,34 @@ def run_scheme_b_round(copy1: GhzForm, copy2: GhzForm, rng: RandomSource) -> Rou
         raise ValueError("the two copies must have equal photon counts")
     if copy1.n < 2:
         raise ValueError("scheme B needs at least two photons per copy")
-    g1 = copy1.signs_folded()
-    g2 = copy2.signs_folded()
     for x, y in zip(
-        (g1.pol.first, g1.pol.second, g1.spa.first, g1.spa.second),
-        (g2.pol.first, g2.pol.second, g2.spa.first, g2.spa.second),
+        (copy1.pol.first, copy1.pol.second, copy1.spa.first, copy1.spa.second),
+        (copy2.pol.first, copy2.pol.second, copy2.spa.first, copy2.spa.second),
     ):
         if abs(abs(x) - abs(y)) > 1e-9:
             raise ValueError("the two copies must carry identical coefficient moduli")
-    return _dense_round(g1, flip_copy(g2), rng)
+    return _dense_round(copy1, flip_copy(copy2), rng)
 
 
 # One outcome record of a batched round: branch, diagonal outcomes, the
-# survivor before corrections (the checked joint state when nothing is read
-# out), and the members that drew this record.
+# survivor before corrections, and the members that drew this record.
 BatchRecord = tuple[BranchClass, tuple[DiagonalOutcome, ...], FullState, np.ndarray]
 
 
 def run_round_batch(
-    joint: FullState, n: int, readout: bool, members: np.ndarray, draw: Draw
+    joint: FullState, n: int, members: np.ndarray, draw: Draw
 ) -> list[BatchRecord]:
-    """One round for a batch of trials that all hold the joint state ``joint``.
+    """One scheme-a round for a batch of trials that all hold the joint
+    state ``joint``.
 
-    The steps are those of the dense rounds: parity checks on photons 0 and
-    ``n``, then, when ``readout`` is set, the one diagonal readout of
-    :func:`run_scheme_a_round` (photon ``n``).  Each member takes its
-    uniforms from ``draw`` in the order the single-trial round takes them
-    from its stream, and every state is built once per distinct outcome,
-    not once per member.  The sign corrections and the extraction of the
-    survivor's form are left out: the iteration loops read only the branch,
-    and ``_finish_round`` applies them to a record on demand.
+    The steps are those of :func:`run_scheme_a_round`: parity checks on
+    photons 0 and ``n``, then the diagonal readout of photon ``n``.  Each
+    member takes its uniforms from ``draw`` in the order the single-trial
+    round takes them from its stream, and every state is built once per
+    distinct outcome, not once per member.  The sign corrections and the
+    extraction of the survivor's form are left out: the iteration loops
+    read only the branch, and ``_finish_round`` applies them to a record on
+    demand.
     """
     records = []
     for pol_out, after_pol, m_pol in parity_measure_batch(
@@ -208,9 +205,6 @@ def run_round_batch(
             after_pol, 0, n, Dof.SPATIAL, m_pol, draw
         ):
             branch = BranchClass.from_parities(pol_out, spa_out)
-            if not readout:
-                records.append((branch, (), after_spa, m_spa))
-                continue
             for outcome, survivor, m in measure_diagonal_batch(after_spa, n, m_spa, draw):
                 records.append((branch, (outcome,), survivor, m))
     return records
@@ -232,16 +226,15 @@ def classify_residual(branch: BranchClass, state: GhzForm) -> GhzForm:
     """
     if branch is BranchClass.EE:
         raise ValueError("the ee branch is a success, not a residual")
-    g = state.signs_folded()
 
     def squared(pair: DofAmplitudes) -> DofAmplitudes:
         f, s = complex(pair.first) ** 2, complex(pair.second) ** 2
         norm = (abs(f) ** 2 + abs(s) ** 2) ** 0.5
         return DofAmplitudes(f / norm, s / norm)
 
-    pol = BALANCED if branch is BranchClass.EO else squared(g.pol)
-    spa = BALANCED if branch is BranchClass.OE else squared(g.spa)
-    return GhzForm(g.n, pol, spa)
+    pol = BALANCED if branch is BranchClass.EO else squared(state.pol)
+    spa = BALANCED if branch is BranchClass.OE else squared(state.spa)
+    return GhzForm(state.n, pol, spa)
 
 
 # Retry accounting.  A degree of freedom is settled once an even outcome has
@@ -290,16 +283,15 @@ def iterate_scheme_a(state: GhzForm, max_rounds: int, rng: RandomSource) -> Iter
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
-    working = state.signs_folded()
     results: list[RoundResult] = []
     settled = 0
     for k in range(1, max_rounds + 1):
-        res = run_scheme_a_round(working, rng)
+        res = run_scheme_a_round(state, rng)
         results.append(res)
         if concentrates(settled, res.branch):
             return IterationTrace(tuple(results), True, k, k)
         settled |= settled_by(res.branch)
-        working = classify_residual(res.branch, working)
+        state = classify_residual(res.branch, state)
     return IterationTrace(tuple(results), False, max_rounds, None)
 
 
@@ -338,29 +330,15 @@ class PoolReport:
 _PAIR_BLOCK = 4096
 
 
-def _pair_draws(joint: FullState, n: int) -> tuple[float, dict[ParityOutcome, int]]:
-    """What one pair of a two-copy round on ``joint`` draws.
-
-    Returns the even probability of the polarization check and, for every
-    outcome that check can take, the uniforms the pair consumes in all: one
-    per unforced parity check and one per diagonal readout.
-    """
-    p_even = 0.0
-    after: dict[ParityOutcome, int] = {}
-    for outcome in ParityOutcome:
-        prob, post = parity_branch(joint, 0, n, Dof.POLARIZATION, outcome)
-        if outcome is ParityOutcome.EVEN:
-            p_even = prob
-        if post is not None:
-            after[outcome] = parity_draws(post, 0, n, Dof.SPATIAL) + n
-    pol_draws = int(len(after) == 2)
-    return p_even, {outcome: pol_draws + k for outcome, k in after.items()}
-
-
 def _pair_uniforms(
     rng: RandomSource, pairs: int, p_even: float, draws: dict[ParityOutcome, int]
 ) -> np.ndarray:
-    """The next ``pairs`` pairs' uniforms from ``rng``, one row per pair."""
+    """The next ``pairs`` pairs' uniforms from ``rng``, one row per pair.
+
+    ``draws`` gives, per outcome the polarization check can take, the
+    uniforms a pair consumes in all; ``p_even`` is that check's even
+    probability.
+    """
     widths = set(draws.values())
     if len(widths) == 1:
         return rng.uniforms(pairs * widths.pop()).reshape(pairs, -1)
@@ -375,26 +353,45 @@ def _pair_uniforms(
     return rows
 
 
-def _bucket_rounds(g: GhzForm, pairs: int, rng: RandomSource) -> Iterator[BatchRecord]:
-    """``pairs`` calls of ``run_scheme_b_round(g, g, rng)`` in a row, batched.
+def _bucket_branches(g: GhzForm, pairs: int, rng: RandomSource) -> np.ndarray:
+    """The branches of ``pairs`` calls of ``run_scheme_b_round(g, g, rng)``
+    in a row, as settled masks (see :func:`settled_by`), one per pair.
 
-    Yields the outcome records up to the parity checks; their members are
-    pair indices.  ``rng`` is consumed exactly as by the calls one after
-    another: pair by pair, each pair's draws in order.  Every pair's row
-    already holds its readout uniforms, and no caller reads the readouts,
-    so none is simulated.
+    ``rng`` is consumed exactly as by the calls one after another: pair by
+    pair, each pair's draws in order, one per unforced parity check and one
+    per diagonal readout.  The branch is decided from parity odds alone:
+    the polarization check is projected once per outcome, and each pair
+    compares its uniforms with the even probabilities of the two checks.
+    The readouts change no branch, so none is simulated.
     """
-    g = g.signs_folded()
     n = g.n
     joint = tensor(ghz_to_full(g), ghz_to_full(flip_copy(g)))
-    p_even, draws = _pair_draws(joint, n)
+    p_pol, mask = _parity_probs(joint, 0, n, Dof.POLARIZATION)
+    pol_forced = _forced_parity(p_pol)
+    # Per possible polarization outcome: the spatial even probability after
+    # it, and the spatial outcome when that is forced.
+    spa = {}
+    for outcome in ParityOutcome if pol_forced is None else (pol_forced,):
+        p_spa = _parity_probs(_parity_post(joint, outcome, p_pol, mask)[1], 0, n, Dof.SPATIAL)[0]
+        spa[outcome] = (p_spa, _forced_parity(p_spa))
+    pol_draws = int(pol_forced is None)
+    draws = {o: pol_draws + int(forced is None) + n for o, (_, forced) in spa.items()}
+    masks = []
     for start in range(0, pairs, _PAIR_BLOCK):
-        size = min(_PAIR_BLOCK, pairs - start)
-        rows = RowDraws(_pair_uniforms(rng, size, p_even, draws))
-        for branch, diag, survivor, members in run_round_batch(
-            joint, n, False, np.arange(size), rows
-        ):
-            yield branch, diag, survivor, members + start
+        rows = _pair_uniforms(rng, min(_PAIR_BLOCK, pairs - start), p_pol, draws)
+        if pol_forced is None:
+            pol_even = rows[:, 0] < p_pol
+        else:
+            pol_even = np.full(len(rows), pol_forced is ParityOutcome.EVEN)
+        spa_even = np.empty(len(rows), dtype=bool)
+        for outcome, (p_spa, forced) in spa.items():
+            mine = pol_even == (outcome is ParityOutcome.EVEN)
+            if forced is None:
+                spa_even[mine] = rows[mine, pol_draws] < p_spa
+            else:
+                spa_even[mine] = forced is ParityOutcome.EVEN
+        masks.append(2 * pol_even + spa_even)
+    return np.concatenate(masks)
 
 
 def iterate_scheme_b_pool(
@@ -408,11 +405,11 @@ def iterate_scheme_b_pool(
     unpaired leftover stays in its bucket and can never mix with the
     (differently squared) residuals of later rounds.
 
-    The pairs of a bucket are simulated together (see
-    :func:`run_round_batch`), and only up to the parity checks, which
-    decide the branch: the diagonal readouts change no branch, so they are
-    skipped.  The results equal those of running ``run_scheme_b_round``
-    pair by pair, buckets in creation order, on ``rng``: new buckets and
+    The pairs of a bucket are decided together, from the odds of the two
+    parity checks, which alone decide the branch (see
+    :func:`_bucket_branches`); the diagonal readouts change no branch, so
+    they are skipped.  The results equal those of running
+    ``run_scheme_b_round`` pair by pair, buckets in creation order, on ``rng``: new buckets and
     residual tallies enter in the order of the first pair that produces
     them, and a merged bucket keeps the state of its first contributor.
     """
@@ -423,7 +420,7 @@ def iterate_scheme_b_pool(
     if template.n < 2:
         raise ValueError("scheme B needs at least two photons per copy")
     BucketKey = tuple[int, int]  # (settled mask, birth round)
-    buckets: dict[BucketKey, tuple[GhzForm, int]] = {(0, 0): (template.signs_folded(), count)}
+    buckets: dict[BucketKey, tuple[GhzForm, int]] = {(0, 0): (template, count)}
     rounds: list[PoolRound] = []
     distilled = 0
     pairs_attempted = 0
@@ -449,19 +446,19 @@ def iterate_scheme_b_pool(
             _add((settled, birth), g, cnt % 2)
             if cnt < 2:
                 continue
-            residuals: dict[BranchClass, tuple[int, int]] = {}  # (first pair, pairs)
-            branches = members_by_branch(_bucket_rounds(g, cnt // 2, rng))
-            for branch, pairs in branches.items():
-                stats.attempts += len(pairs)
-                pairs_attempted += len(pairs)
+            stats.attempts += cnt // 2
+            pairs_attempted += cnt // 2
+            found, first, counts = np.unique(
+                _bucket_branches(g, cnt // 2, rng), return_index=True, return_counts=True
+            )
+            for i in np.argsort(first):  # in the order of each branch's first pair
+                branch, k = BranchClass(FAMILIES[found[i]]), int(counts[i])
                 if concentrates(settled, branch):
-                    stats.successes += len(pairs)
-                    distilled += len(pairs)
+                    stats.successes += k
+                    distilled += k
                 else:
-                    residuals[branch] = (int(pairs.min()), len(pairs))
-            for branch, (_, k) in sorted(residuals.items(), key=lambda item: item[1][0]):
-                stats.residual_counts[branch] = stats.residual_counts.get(branch, 0) + k
-                _add((settled | settled_by(branch), r), classify_residual(branch, g), k)
+                    stats.residual_counts[branch] = stats.residual_counts.get(branch, 0) + k
+                    _add((settled | settled_by(branch), r), classify_residual(branch, g), k)
         rounds.append(stats)
         buckets = new_buckets
     leftover_counts: dict[str, int] = {}
@@ -502,8 +499,7 @@ def estimate_parameters(template: GhzForm, trials: int, rng: RandomSource) -> Pa
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    g = template.signs_folded()
-    p_pol, p_spa = g.first_moduli_sq()
+    p_pol, p_spa = template.first_moduli_sq()
     hits_pol = int(np.count_nonzero(rng.uniforms(trials) < p_pol))
     hits_spa = int(np.count_nonzero(rng.uniforms(trials) < p_spa))
     a_hat = hits_pol / trials

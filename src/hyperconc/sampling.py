@@ -2,8 +2,8 @@
 
 Scheme a runs independent traces, trial ``t`` on the substream derived from
 (seed, t); scheme b runs one pool on the master stream of the seed (see
-:func:`~hyperconc.protocol.iterate_scheme_b_pool`), whose batched rounds
-stop at the parity checks: they decide the branch, and each pair's readout
+:func:`~hyperconc.protocol.iterate_scheme_b_pool`), which decides each
+pair's branch from the odds of the two parity checks: each pair's readout
 uniforms are drawn with its row but never simulated.
 
 Traces are simulated breadth first, in blocks of up to ``_TRIAL_BLOCK``
@@ -105,7 +105,7 @@ def _trace_block(
     count = len(draws.rows)
     success = np.zeros(count, dtype=np.intp)
     settled = np.zeros(count, dtype=np.intp)
-    groups = {(template.signs_folded(), 0): np.arange(count)}
+    groups = {(template, 0): np.arange(count)}
     for k in range(1, max_rounds + 1):
         if not groups:
             break
@@ -113,7 +113,7 @@ def _trace_block(
         for (g, mask), members in groups.items():
             draws.refill(members)
             joint = tensor(ghz_to_full(g), ghz_to_full(prepare_ancilla(g.pol, g.spa)))
-            records = run_round_batch(joint, g.n, True, members, draws)
+            records = run_round_batch(joint, g.n, members, draws)
             for branch, m in members_by_branch(records).items():
                 if concentrates(mask, branch):
                     success[m] = k

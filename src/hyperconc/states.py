@@ -4,11 +4,12 @@ freedom: polarization (H/V) and spatial mode (u/d).
 Two representations coexist.  ``GhzForm`` is the compact four-coefficient
 form of a state that is GHZ-like in both degrees of freedom,
 
-    (a|H..H> + s_p * b|V..V>) (x) (c|u..u> + s_s * d|d..d>),
+    (a|H..H> + b|V..V>) (x) (c|u..u> + d|d..d>),
 
-with each amplitude pair normalized on its own.  ``FullState`` is the dense
-vector of all 4**n amplitudes, used whenever measurements branch the state
-out of GHZ form.
+with each amplitude pair normalized on its own; a relative phase, such as a
+sign left by a measurement, is the phase of the second amplitude.
+``FullState`` is the dense vector of all 4**n amplitudes, used whenever
+measurements branch the state out of GHZ form.
 
 Basis convention, shared by every module: photon 0 is the most significant
 base-4 digit of an amplitude index, and a photon's digit is
@@ -55,7 +56,6 @@ class Dof(Enum):
 class Gate(Enum):
     """Single-photon gate within one degree of freedom."""
 
-    X = "x"  # bit flip: H<->V or u<->d
     Z = "z"  # sign flip on the second basis state (V or d)
 
 
@@ -104,31 +104,18 @@ BALANCED = DofAmplitudes(_INV_SQRT2, _INV_SQRT2)
 class GhzForm:
     """n-photon state GHZ-like in both degrees of freedom.
 
-    ``pol_sign`` and ``spa_sign`` (+1 or -1) track the relative sign that
-    parity-check outcomes imprint on the second branch of each pair; they are
-    kept separate from the amplitudes to mirror the sign bookkeeping of the
-    correction step.
+    A relative phase between the two branches of a degree of freedom, such
+    as the sign a measurement imprints, lives in the second amplitude of
+    its pair.
     """
 
     n: int
     pol: DofAmplitudes
     spa: DofAmplitudes
-    pol_sign: int = 1
-    spa_sign: int = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"photon count must be a positive integer, got {self.n}")
-        if self.pol_sign not in (1, -1) or self.spa_sign not in (1, -1):
-            raise ValueError("signs must be +1 or -1")
-
-    def signs_folded(self) -> "GhzForm":
-        """Equivalent form with signs +1, folding any -1 into the amplitude."""
-        if self.pol_sign == 1 and self.spa_sign == 1:
-            return self
-        pol = DofAmplitudes(self.pol.first, self.pol_sign * self.pol.second)
-        spa = DofAmplitudes(self.spa.first, self.spa_sign * self.spa.second)
-        return GhzForm(self.n, pol, spa)
 
     def first_moduli_sq(self) -> tuple[float, float]:
         """(|pol.first|**2, |spa.first|**2)."""
@@ -219,7 +206,7 @@ def _unit_norm(amps: np.ndarray) -> np.ndarray:
 
 
 def maximal_ghz(n: int) -> GhzForm:
-    """Target state: both degrees of freedom balanced, signs +1."""
+    """Target state: both degrees of freedom balanced, with plus signs."""
     return GhzForm(n, BALANCED, BALANCED)
 
 
@@ -242,9 +229,9 @@ def ghz_to_full(g: GhzForm) -> FullState:
     """Materialize a GhzForm as a dense state vector."""
     r = _repunit(g.n)
     pf = complex(g.pol.first)
-    ps = g.pol_sign * complex(g.pol.second)
+    ps = complex(g.pol.second)
     sf = complex(g.spa.first)
-    ss = g.spa_sign * complex(g.spa.second)
+    ss = complex(g.spa.second)
     amps = np.zeros(4**g.n, dtype=np.complex128)
     amps[0] = pf * sf  # all |H>, all |u>
     amps[r] = ps * sf  # all |V>, all |u>
@@ -256,10 +243,10 @@ def ghz_to_full(g: GhzForm) -> FullState:
 def full_to_ghz(state: FullState) -> GhzForm:
     """Recover the GhzForm of a dense state, or raise if it has none.
 
-    The returned form has signs +1; any relative phase (a sign left by a
-    measurement, or phases inherited from complex inputs) is folded into the
-    second amplitude of each pair.  Raises ``ValueError`` when the state is
-    not a product of two GHZ-like factors within ``_FORM_TOL``.
+    Any relative phase (a sign left by a measurement, or phases inherited
+    from complex inputs) lands in the second amplitude of its pair.  Raises
+    ``ValueError`` when the state is not a product of two GHZ-like factors
+    within ``_FORM_TOL``.
     """
     n = state.n_photons
     r = _repunit(n)
@@ -300,12 +287,11 @@ def full_to_ghz(state: FullState) -> GhzForm:
 
 def is_maximal(g: GhzForm) -> bool:
     """True when all four coefficients are 1/sqrt(2) with plus signs."""
-    f = g.signs_folded()
     return (
-        abs(f.pol.first - _INV_SQRT2) <= _BALANCE_TOL
-        and abs(f.pol.second - _INV_SQRT2) <= _BALANCE_TOL
-        and abs(f.spa.first - _INV_SQRT2) <= _BALANCE_TOL
-        and abs(f.spa.second - _INV_SQRT2) <= _BALANCE_TOL
+        abs(g.pol.first - _INV_SQRT2) <= _BALANCE_TOL
+        and abs(g.pol.second - _INV_SQRT2) <= _BALANCE_TOL
+        and abs(g.spa.first - _INV_SQRT2) <= _BALANCE_TOL
+        and abs(g.spa.second - _INV_SQRT2) <= _BALANCE_TOL
     )
 
 
@@ -332,31 +318,18 @@ def _bit_mask(n: int, shift: int) -> np.ndarray:
     return mask
 
 
-@lru_cache(maxsize=None)
-def _swap_index(n: int, shift: int) -> np.ndarray:
-    idx = np.arange(4**n) ^ (1 << shift)
-    idx.flags.writeable = False
-    return idx
-
-
 def apply_single_photon_gate(state: FullState, photon: int, dof: Dof, gate: Gate) -> FullState:
-    """Apply X or Z to one photon within one degree of freedom."""
-    shift = _bit_shift(state.n_photons, photon, dof)
-    if gate is Gate.X:
-        amps = state.amplitudes[_swap_index(state.n_photons, shift)]
-    else:
-        amps = state.amplitudes.copy()
-        amps[_bit_mask(state.n_photons, shift)] *= -1.0
+    """Apply ``gate`` (Z, the one correction gate) to one photon within one
+    degree of freedom."""
+    amps = state.amplitudes.copy()
+    amps[_bit_mask(state.n_photons, _bit_shift(state.n_photons, photon, dof))] *= -1.0
     return FullState(state.n_photons, amps)
 
 
 def flip_copy(g: GhzForm) -> GhzForm:
-    """Bit-flip every photon in both degrees of freedom (amplitude pairs swap).
-
-    Signs carry over unchanged; when a sign is -1 the swapped form matches the
-    flipped state up to a global phase.
-    """
-    return GhzForm(g.n, g.pol.swapped(), g.spa.swapped(), g.pol_sign, g.spa_sign)
+    """Bit-flip every photon in both degrees of freedom: each amplitude pair
+    swaps, relative phases included."""
+    return GhzForm(g.n, g.pol.swapped(), g.spa.swapped())
 
 
 def fidelity(a: FullState, b: FullState) -> float:

@@ -20,7 +20,7 @@ from hyperconc import (
     parity_measure,
     tensor,
 )
-from hyperconc.measurement import DIAGONAL_OUTCOMES, diagonal_branch, diagonal_components
+from hyperconc.measurement import DIAGONAL_OUTCOMES, diagonal_components
 from hyperconc.states import maximal_ghz, prepare_ancilla
 
 
@@ -29,6 +29,12 @@ def joint_state(alpha_sq=0.8, delta_sq=0.6, n=2):
     spa = DofAmplitudes.from_first_probability(delta_sq)
     working = GhzForm(n, pol, spa)
     return tensor(ghz_to_full(working), ghz_to_full(prepare_ancilla(pol, spa)))
+
+
+def diagonal_probs(state, photon):
+    """Outcome probabilities of a diagonal readout: squared component norms."""
+    comps = diagonal_components(state, photon)
+    return np.sum(comps.real**2 + comps.imag**2, axis=(0, 1))
 
 
 def random_state(rng, n):
@@ -81,47 +87,42 @@ class TestParity:
 
 class TestDiagonal:
     def test_component_probabilities_sum_to_one(self):
-        joint = joint_state()
-        comps = diagonal_components(joint, 2)
-        probs = np.sum(comps.real**2 + comps.imag**2, axis=(0, 1))
+        probs = diagonal_probs(joint_state(), 2)
         assert probs.shape == (4,)
         assert float(np.sum(probs)) == pytest.approx(1.0)
 
     def test_branch_removes_photon_and_matches_components(self):
         joint = joint_state()
-        total = 0.0
-        for outcome in DIAGONAL_OUTCOMES:
-            p, post = diagonal_branch(joint, 2, outcome)
-            total += p
-            if post is not None:
-                assert post.n_photons == joint.n_photons - 1
-                assert np.linalg.norm(post.amplitudes) == pytest.approx(1.0)
-        assert total == pytest.approx(1.0)
+        comps = diagonal_components(joint, 2)
+        assert comps.shape == (4**2, 1, 4)  # photons 0-1 left of the read photon
+        for k, p in enumerate(diagonal_probs(joint, 2)):
+            post = comps[:, :, k].flatten()
+            assert post.shape == (4 ** (joint.n_photons - 1),)
+            assert np.linalg.norm(post) ** 2 == pytest.approx(p)
 
     def test_balanced_photon_reads_plus_plus(self):
         # A product photon balanced in both degrees of freedom IS |+,+>.
         joint = tensor(ghz_to_full(maximal_ghz(2)), ghz_to_full(maximal_ghz(1)))
-        p, _ = diagonal_branch(joint, 2, DIAGONAL_OUTCOMES[0])
-        assert p == pytest.approx(1.0)
+        assert diagonal_probs(joint, 2) == pytest.approx([1.0, 0.0, 0.0, 0.0])
 
     def test_computational_photon_reads_uniformly(self):
         # |H,u> overlaps every diagonal state with amplitude 1/2.
         fixed = GhzForm(1, DofAmplitudes(1, 0), DofAmplitudes(1, 0))
         joint = tensor(ghz_to_full(maximal_ghz(2)), ghz_to_full(fixed))
-        for outcome in DIAGONAL_OUTCOMES:
-            p, _ = diagonal_branch(joint, 2, outcome)
-            assert p == pytest.approx(0.25)
+        assert diagonal_probs(joint, 2) == pytest.approx([0.25] * 4)
 
     def test_last_photon_cannot_be_removed(self):
         s = ghz_to_full(maximal_ghz(1))
         with pytest.raises(ValueError):
-            diagonal_branch(s, 0, DIAGONAL_OUTCOMES[0])
+            diagonal_components(s, 0)
 
     def test_measure_diagonal_matches_branch(self):
         joint = joint_state(0.3, 0.9)
         outcome, post = measure_diagonal(joint, 2, RandomSource(11))
-        _, want = diagonal_branch(joint, 2, outcome)
-        assert np.allclose(post.amplitudes, want.amplitudes)
+        k = DIAGONAL_OUTCOMES.index(outcome)
+        want = diagonal_components(joint, 2)[:, :, k].flatten()
+        assert post.n_photons == joint.n_photons - 1
+        assert np.allclose(post.amplitudes, want / np.linalg.norm(want))
 
     def test_outcome_labels(self):
         assert [o.label() for o in DIAGONAL_OUTCOMES] == ["++", "+-", "-+", "--"]
@@ -229,5 +230,5 @@ def test_diagonal_branch_total_mass_property(seed, n):
     rng = np.random.default_rng(seed)
     s = random_state(rng, n)
     photon = int(rng.integers(n))
-    total = sum(diagonal_branch(s, photon, o)[0] for o in DIAGONAL_OUTCOMES)
+    total = float(np.sum(diagonal_probs(s, photon)))
     assert total == pytest.approx(1.0, abs=1e-12)

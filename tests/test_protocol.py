@@ -70,8 +70,8 @@ class TestSchemeARound:
             seen = collect_branches(lambda r, a=alpha_sq, d=delta_sq: run_scheme_a_round(ghz(2, a, d), r))
             assert len(seen) == 4
             for res in seen.values():
-                folded = res.post.signs_folded()
-                for x in (folded.pol.first, folded.pol.second, folded.spa.first, folded.spa.second):
+                post = res.post
+                for x in (post.pol.first, post.pol.second, post.spa.first, post.spa.second):
                     assert complex(x).imag == pytest.approx(0.0, abs=1e-12)
                     assert complex(x).real >= -1e-12
 

@@ -1,6 +1,8 @@
-"""The package's public surface: the README's entry points and ``__all__``."""
+"""The package's public surface: the README's entry points, ``__all__``, and
+the functions the benchmark traces."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -34,3 +36,12 @@ def test_all_is_what_init_imports():
     ]
     assert sorted(imported) == sorted(hyperconc.__all__)
     assert len(hyperconc.__all__) == len(set(hyperconc.__all__))
+
+
+def test_benchmark_trace_targets_resolve():
+    """Every function the benchmark's tracer wraps is found through the package."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _, path, _ in tracing.TARGETS:
+        assert callable(tracing._resolve(path)), path

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import hyperconc
 from hyperconc import (
     BranchClass,
+    Dof,
     DofAmplitudes,
     GhzForm,
     ParityOutcome,
@@ -28,6 +29,7 @@ from hyperconc import (
     ghz_to_full,
     iterate_scheme_a,
     iterate_scheme_b_pool,
+    parity_branch,
     run_scheme_b_round,
     tensor,
 )
@@ -119,7 +121,7 @@ def ghz(n, alpha_sq, delta_sq):
 
 def sequential_pool(count, template, max_rounds, rng):
     """``iterate_scheme_b_pool`` as it ran before batching: one round per pair."""
-    buckets = {(0, 0): (template.signs_folded(), count)}
+    buckets = {(0, 0): (template, count)}
     rounds = []
     distilled = 0
     pairs_attempted = 0
@@ -259,8 +261,12 @@ class TestBatchedEqualsReference:
         """The spatial check is forced after one polarization outcome only."""
         g = ghz(n, a, d)
         joint = tensor(ghz_to_full(g), ghz_to_full(flip_copy(g)))
-        _, draws = protocol._pair_draws(joint, n)
-        assert len(set(draws.values())) == 2
+        forced = []
+        for outcome in ParityOutcome:
+            _, post = parity_branch(joint, 0, n, Dof.POLARIZATION, outcome)
+            p_even, _ = parity_branch(post, 0, n, Dof.SPATIAL, ParityOutcome.EVEN)
+            forced.append(min(p_even, 1.0 - p_even) < measurement.MIN_BRANCH_PROBABILITY)
+        assert sorted(forced) == [False, True]
         for seed in (0, 1, 2):
             got = iterate_scheme_b_pool(61, g, 3, RandomSource(seed))
             assert got == sequential_pool(61, g, 3, RandomSource(seed))
@@ -273,7 +279,7 @@ def test_batched_successes_are_maximal_once_corrected(n):
     joint = tensor(ghz_to_full(g), ghz_to_full(prepare_ancilla(g.pol, g.spa)))
     trials = 2000
     rows = RowDraws(RandomSource(n).uniforms(trials * 3).reshape(trials, -1))
-    records = run_round_batch(joint, n, True, np.arange(trials), rows)
+    records = run_round_batch(joint, n, np.arange(trials), rows)
     members = np.sort(np.concatenate([m for *_, m in records]))
     assert np.array_equal(members, np.arange(trials))
     even = ParityOutcome.EVEN
@@ -313,6 +319,27 @@ def test_pool_reads_out_no_photon(monkeypatch):
     g = ghz(3, 0.8, 0.6)
     run_scheme_b_round(g, g, RandomSource(0))
     assert calls == 3  # the single-pair round reads out every second-copy photon
+
+
+def test_pool_projects_each_outcome_once(monkeypatch):
+    """A bucket round projects the polarization check once per outcome and
+    decides every pair's branch from parity odds."""
+    counts = {"tensor": 0, "_parity_post": 0}
+
+    def counting(name, original):
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(protocol, "tensor", counting("tensor", protocol.tensor))
+    post = counting("_parity_post", measurement._parity_post)
+    for module in (measurement, protocol):
+        monkeypatch.setattr(module, "_parity_post", post, raising=False)
+    mc_estimate("b", 2, 0.7, 0.7, 3, 400, 1)
+    assert counts["tensor"] > 0  # one joint state per bucket round
+    assert counts["_parity_post"] <= 2 * counts["tensor"]
 
 
 def test_scheme_a_builds_states_per_outcome_not_per_trial(monkeypatch):

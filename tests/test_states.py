@@ -29,6 +29,7 @@ from hyperconc.states import (
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+MINUS = DofAmplitudes(INV_SQRT2, -INV_SQRT2)  # balanced, relative sign -1
 
 
 def ghz(n, alpha_sq, delta_sq):
@@ -70,18 +71,9 @@ class TestDofAmplitudes:
 
 
 class TestGhzForm:
-    def test_sign_validation(self):
-        with pytest.raises(ValueError):
-            GhzForm(2, BALANCED, BALANCED, pol_sign=0)
+    def test_photon_count_validation(self):
         with pytest.raises(ValueError):
             GhzForm(0, BALANCED, BALANCED)
-
-    def test_signs_folded_matches_dense_vector(self):
-        g = GhzForm(2, BALANCED, DofAmplitudes.from_first_probability(0.6), pol_sign=-1)
-        assert fidelity(ghz_to_full(g), ghz_to_full(g.signs_folded())) == pytest.approx(1.0)
-        folded = g.signs_folded()
-        assert folded.pol_sign == 1 and folded.spa_sign == 1
-        assert folded.pol.second.real == pytest.approx(-INV_SQRT2)
 
     def test_first_moduli_sq(self):
         assert ghz(3, 0.8, 0.6).first_moduli_sq() == pytest.approx((0.8, 0.6))
@@ -154,19 +146,27 @@ class TestBasisLayout:
         assert v[3 * r] == pytest.approx(b * d)
         assert np.count_nonzero(v) == 4
 
+    @staticmethod
+    def z_sign_pattern(n, photon, dof):
+        # Z on a uniform superposition flips the sign of exactly the indices
+        # whose (photon, dof) bit is set.
+        s = FullState(n, np.ones(4**n, dtype=complex))
+        flipped = apply_single_photon_gate(s, photon, dof, Gate.Z)
+        return np.flatnonzero(flipped.amplitudes.real < 0)
+
     def test_photon_zero_is_most_significant(self):
-        # X on photon 0's polarization must move amplitude from index 0
-        # (all H, all u) to the index with only photon 0's pol bit set.
+        # Photon 0's polarization bit is bit 2 * (n - 1) of an index.
         n = 3
-        s = ghz_to_full(ghz(n, 1.0, 1.0))  # lone amplitude at index 0
-        flipped = apply_single_photon_gate(s, 0, Dof.POLARIZATION, Gate.X)
-        expect = 1 << (2 * (n - 1))
-        assert abs(flipped.amplitudes[expect]) == pytest.approx(1.0)
+        got = self.z_sign_pattern(n, 0, Dof.POLARIZATION)
+        idx = np.arange(4**n)
+        assert np.array_equal(got, idx[(idx >> (2 * (n - 1))) & 1 == 1])
+        assert got[0] == 1 << (2 * (n - 1))
 
     def test_spatial_bit_above_pol_bit(self):
-        s = ghz_to_full(ghz(2, 1.0, 1.0))
-        flipped = apply_single_photon_gate(s, 1, Dof.SPATIAL, Gate.X)
-        assert abs(flipped.amplitudes[2]) == pytest.approx(1.0)
+        # Photon 1 of 2: polarization bit 0, spatial bit 1.
+        idx = np.arange(16)
+        assert np.array_equal(self.z_sign_pattern(2, 1, Dof.POLARIZATION), idx[idx & 1 == 1])
+        assert np.array_equal(self.z_sign_pattern(2, 1, Dof.SPATIAL), idx[idx & 2 == 2])
 
 
 class TestGates:
@@ -174,22 +174,17 @@ class TestGates:
         g = maximal_ghz(2)
         s = apply_single_photon_gate(ghz_to_full(g), 0, Dof.POLARIZATION, Gate.Z)
         got = full_to_ghz(s)
-        folded = got.signs_folded()
-        assert folded.pol.second.real == pytest.approx(-INV_SQRT2)
-        assert folded.spa.second.real == pytest.approx(INV_SQRT2)
-
-    def test_x_then_x_is_identity(self):
-        s = ghz_to_full(ghz(2, 0.8, 0.6))
-        once = apply_single_photon_gate(s, 1, Dof.SPATIAL, Gate.X)
-        twice = apply_single_photon_gate(once, 1, Dof.SPATIAL, Gate.X)
-        assert fidelity(s, twice) == pytest.approx(1.0)
+        assert got.pol.second == pytest.approx(-INV_SQRT2)
+        assert got.spa.second == pytest.approx(INV_SQRT2)
+        assert not is_maximal(got)
 
 
 class TestPreparation:
     def test_maximal_ghz_is_maximal(self):
         assert is_maximal(maximal_ghz(4))
         assert not is_maximal(ghz(4, 0.8, 0.5))
-        assert not is_maximal(GhzForm(2, BALANCED, BALANCED, pol_sign=-1))
+        assert not is_maximal(GhzForm(2, MINUS, BALANCED))
+        assert not is_maximal(GhzForm(2, BALANCED, MINUS))
 
     def test_prepare_partial_ghz(self):
         g = GhzForm(
@@ -208,15 +203,14 @@ class TestPreparation:
         assert anc.first_moduli_sq() == pytest.approx((0.2, 0.4))
 
     def test_flip_copy_swaps_and_keeps_signs(self):
-        g = GhzForm(
-            2,
-            DofAmplitudes.from_first_probability(0.8),
-            DofAmplitudes.from_first_probability(0.6),
-            pol_sign=-1,
-        )
+        # A negative second amplitude moves with the swap, so the form is
+        # exactly the state with every photon bit-flipped.
+        g = GhzForm(2, DofAmplitudes(math.sqrt(0.8), -math.sqrt(0.2)), ghz(2, 0.8, 0.6).spa)
         f = flip_copy(g)
         assert f.first_moduli_sq() == pytest.approx((0.2, 0.4))
-        assert f.pol_sign == -1 and f.spa_sign == 1
+        assert f.pol.first == pytest.approx(-math.sqrt(0.2))
+        flip_all = np.arange(16) ^ 15  # every bit of both photons
+        assert np.allclose(ghz_to_full(f).amplitudes, ghz_to_full(g).amplitudes[flip_all])
 
 
 class TestTensor:
@@ -238,9 +232,10 @@ class TestExtraction:
         assert got.first_moduli_sq() == pytest.approx((0.8, 0.6))
 
     def test_round_trip_with_negative_branch(self):
-        g = GhzForm(2, BALANCED, DofAmplitudes.from_first_probability(0.3), spa_sign=-1)
+        g = GhzForm(2, BALANCED, DofAmplitudes(math.sqrt(0.3), -math.sqrt(0.7)))
         got = full_to_ghz(ghz_to_full(g))
         assert fidelity(ghz_to_full(got), ghz_to_full(g)) == pytest.approx(1.0)
+        assert got.spa.second == pytest.approx(-math.sqrt(0.7))
 
     def test_degenerate_pure_branches(self):
         for alpha_sq, delta_sq in ((1.0, 0.6), (0.0, 0.6), (0.8, 1.0), (0.8, 0.0), (1.0, 1.0)):
@@ -273,7 +268,7 @@ class TestFidelity:
         s = ghz_to_full(maximal_ghz(3))
         assert fidelity(s, s) == pytest.approx(1.0)
         t = ghz_to_full(ghz(3, 1.0, 1.0))
-        u = ghz_to_full(GhzForm(3, BALANCED, BALANCED, pol_sign=-1))
+        u = ghz_to_full(GhzForm(3, MINUS, BALANCED))
         assert 0.0 <= fidelity(t, u) <= 1.0
 
 
@@ -288,10 +283,8 @@ class TestFidelity:
 def test_extraction_round_trip_property(alpha_sq, delta_sq, pol_sign, spa_sign, n):
     g = GhzForm(
         n,
-        DofAmplitudes.from_first_probability(alpha_sq),
-        DofAmplitudes.from_first_probability(delta_sq),
-        pol_sign=pol_sign,
-        spa_sign=spa_sign,
+        DofAmplitudes(math.sqrt(alpha_sq), pol_sign * math.sqrt(1.0 - alpha_sq)),
+        DofAmplitudes(math.sqrt(delta_sq), spa_sign * math.sqrt(1.0 - delta_sq)),
     )
     dense = ghz_to_full(g)
     got = full_to_ghz(dense)
