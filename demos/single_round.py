@@ -30,7 +30,7 @@ def show(tag, res):
     ]
     print(f"diagonal readout: {' '.join(labels)}")
     applied = (
-        ", ".join(f"{gate.value} on photon {ph} ({dof.value})" for ph, dof, gate in res.corrections)
+        ", ".join(f"z on photon {ph} ({dof.value})" for ph, dof in res.corrections)
         or "none"
     )
     print(f"corrections applied: {applied}")

@@ -40,11 +40,9 @@ from .oracle import (
 from .protocol import (
     BranchClass,
     IterationTrace,
-    ParameterEstimate,
     PoolReport,
     PoolRound,
     RoundResult,
-    estimate_parameters,
     iterate_scheme_a,
     iterate_scheme_b_pool,
     run_scheme_a_round,
@@ -55,7 +53,6 @@ from .states import (
     Dof,
     DofAmplitudes,
     FullState,
-    Gate,
     GhzForm,
     apply_single_photon_gate,
     full_to_ghz,
@@ -77,13 +74,11 @@ __all__ = [
     "Dof",
     "DofAmplitudes",
     "FullState",
-    "Gate",
     "GhzForm",
     "IterationTrace",
     "McReport",
     "OutcomeLeaf",
     "OutcomeTree",
-    "ParameterEstimate",
     "ParityOutcome",
     "PoolReport",
     "PoolRound",
@@ -93,7 +88,6 @@ __all__ = [
     "apply_single_photon_gate",
     "branch_rates",
     "enumerate_scheme",
-    "estimate_parameters",
     "exact_iteration_tree",
     "full_to_ghz",
     "ghz_to_full",

@@ -117,7 +117,6 @@ class RoundTable:
     state to eo, oe, or oo again.
     """
 
-    k: int
     eo_s: Value
     eo_f: Value
     oe_s: Value
@@ -139,7 +138,6 @@ def branch_rates(k: int, alpha_sq: Value, delta_sq: Value) -> RoundTable:
     oe_s = 2.0 * a * (1.0 - a)
     oe_f = a * a + (1.0 - a) * (1.0 - a)
     return RoundTable(
-        k=k,
         eo_s=eo_s,
         eo_f=eo_f,
         oe_s=oe_s,

@@ -50,7 +50,6 @@ from .states import (
     Dof,
     DofAmplitudes,
     FullState,
-    Gate,
     GhzForm,
     apply_single_photon_gate,
     flip_copy,
@@ -92,16 +91,17 @@ class BranchClass(Enum):
 class RoundResult:
     """Everything one round produced.
 
-    ``post`` is the corrected survivor state.  ``succeeded`` means the
-    survivor is balanced in both degrees of freedom.
+    ``branch`` holds the two parity outcomes.  ``post`` is the corrected
+    survivor state.  ``succeeded`` means the survivor is balanced in both
+    degrees of freedom.  ``corrections`` lists the (photon, degree of
+    freedom) pairs that received a Z.
     """
 
     branch: BranchClass
     succeeded: bool
     post: GhzForm
-    parity_outcomes: tuple[ParityOutcome, ParityOutcome]
     diagonal_outcomes: tuple[DiagonalOutcome, ...]
-    corrections: tuple[tuple[int, Dof, Gate], ...]
+    corrections: tuple[tuple[int, Dof], ...]
 
 
 def _finish_round(
@@ -113,19 +113,18 @@ def _finish_round(
     # Shared tail of both schemes: corrections on photon 0, then extraction.
     # An odd number of minus outcomes in a degree of freedom calls for a Z
     # on photon 0 in that degree of freedom.
-    corrections: list[tuple[int, Dof, Gate]] = []
+    corrections: list[tuple[int, Dof]] = []
     if sum(o.pol_sign == -1 for o in diag) % 2:
-        state = apply_single_photon_gate(state, 0, Dof.POLARIZATION, Gate.Z)
-        corrections.append((0, Dof.POLARIZATION, Gate.Z))
+        state = apply_single_photon_gate(state, 0, Dof.POLARIZATION)
+        corrections.append((0, Dof.POLARIZATION))
     if sum(o.spa_sign == -1 for o in diag) % 2:
-        state = apply_single_photon_gate(state, 0, Dof.SPATIAL, Gate.Z)
-        corrections.append((0, Dof.SPATIAL, Gate.Z))
+        state = apply_single_photon_gate(state, 0, Dof.SPATIAL)
+        corrections.append((0, Dof.SPATIAL))
     post = full_to_ghz(state)
     return RoundResult(
         branch=BranchClass.from_parities(pol_out, spa_out),
         succeeded=is_maximal(post),
         post=post,
-        parity_outcomes=(pol_out, spa_out),
         diagonal_outcomes=diag,
         corrections=tuple(corrections),
     )
@@ -271,7 +270,6 @@ class IterationTrace:
 
     rounds: tuple[RoundResult, ...]
     succeeded: bool
-    rounds_used: int
     success_round: int | None  # 1-based; None when every round failed
 
 
@@ -289,10 +287,10 @@ def iterate_scheme_a(state: GhzForm, max_rounds: int, rng: RandomSource) -> Iter
         res = run_scheme_a_round(state, rng)
         results.append(res)
         if concentrates(settled, res.branch):
-            return IterationTrace(tuple(results), True, k, k)
+            return IterationTrace(tuple(results), True, k)
         settled |= settled_by(res.branch)
         state = classify_residual(res.branch, state)
-    return IterationTrace(tuple(results), False, max_rounds, None)
+    return IterationTrace(tuple(results), False, None)
 
 
 @dataclass
@@ -475,39 +473,4 @@ def iterate_scheme_b_pool(
         leftovers=sum(leftover_counts.values()),
         leftover_counts=dict(sorted(leftover_counts.items())),
         pairs_attempted=pairs_attempted,
-    )
-
-
-@dataclass(frozen=True)
-class ParameterEstimate:
-    """Coefficient estimates from computational-basis sampling."""
-
-    alpha_sq: float
-    delta_sq: float
-    trials: int
-    alpha_sq_err: float
-    delta_sq_err: float
-
-
-def estimate_parameters(template: GhzForm, trials: int, rng: RandomSource) -> ParameterEstimate:
-    """Estimate |pol.first|**2 and |spa.first|**2 by sampling one photon.
-
-    Measuring any photon of a GHZ-like state in the computational basis of a
-    degree of freedom lands on its first branch with probability equal to the
-    squared first coefficient; frequencies over identically prepared copies
-    estimate the pair.
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    p_pol, p_spa = template.first_moduli_sq()
-    hits_pol = int(np.count_nonzero(rng.uniforms(trials) < p_pol))
-    hits_spa = int(np.count_nonzero(rng.uniforms(trials) < p_spa))
-    a_hat = hits_pol / trials
-    d_hat = hits_spa / trials
-    return ParameterEstimate(
-        alpha_sq=a_hat,
-        delta_sq=d_hat,
-        trials=trials,
-        alpha_sq_err=(a_hat * (1.0 - a_hat) / trials) ** 0.5,
-        delta_sq_err=(d_hat * (1.0 - d_hat) / trials) ** 0.5,
     )

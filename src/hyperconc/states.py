@@ -47,16 +47,10 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class Dof(Enum):
-    """Degree of freedom addressed by a gate or measurement."""
+    """Degree of freedom addressed by a Z correction or a measurement."""
 
     POLARIZATION = "polarization"
     SPATIAL = "spatial"
-
-
-class Gate(Enum):
-    """Single-photon gate within one degree of freedom."""
-
-    Z = "z"  # sign flip on the second basis state (V or d)
 
 
 @dataclass(frozen=True)
@@ -318,9 +312,9 @@ def _bit_mask(n: int, shift: int) -> np.ndarray:
     return mask
 
 
-def apply_single_photon_gate(state: FullState, photon: int, dof: Dof, gate: Gate) -> FullState:
-    """Apply ``gate`` (Z, the one correction gate) to one photon within one
-    degree of freedom."""
+def apply_single_photon_gate(state: FullState, photon: int, dof: Dof) -> FullState:
+    """Apply Z, a sign flip on the second basis state (V or d), to one photon
+    within one degree of freedom: the one correction either scheme needs."""
     amps = state.amplitudes.copy()
     amps[_bit_mask(state.n_photons, _bit_shift(state.n_photons, photon, dof))] *= -1.0
     return FullState(state.n_photons, amps)

@@ -51,7 +51,6 @@ def branch_rates_literal(k: int, alpha_sq: float, delta_sq: float) -> RoundTable
     eo_s, eo_f = rates(delta_sq)
     oe_s, oe_f = rates(alpha_sq)
     return RoundTable(
-        k=k,
         eo_s=eo_s,
         eo_f=eo_f,
         oe_s=oe_s,

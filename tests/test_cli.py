@@ -308,7 +308,7 @@ class TestConsistencyErrors:
 
     def test_trial_zero_replay_mismatch(self, monkeypatch, capsys):
         monkeypatch.setattr(sampling, "iterate_scheme_a",
-                            lambda *args: IterationTrace((), True, 1, 99))
+                            lambda *args: IterationTrace((), True, 99))
         code, err = self.run(self.SIMULATE_A, capsys)
         assert code == 2 and "single-trace replay" in err
 

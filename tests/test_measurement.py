@@ -1,7 +1,5 @@
 """Parity checks, diagonal readout, and the seeded random source."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings

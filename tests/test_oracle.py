@@ -4,14 +4,17 @@ These are the reference implementations the analytics module is checked
 against, so the tests here freeze their raw numbers independently.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from hyperconc import BranchClass
 from hyperconc.analytics import (
     grid_axis,
+    initial_distribution,
+    markov_evolve,
     pool_expected_yield,
-    round1_probabilities,
     round_success_unrolled,
     total_success,
 )
@@ -170,6 +173,23 @@ class TestMonteCarlo:
         want = pool_expected_yield(3, 0.7, 0.7)
         # pool trials are correlated through pairing; allow a broad band
         assert abs(rep.success_rate - want) < 6.0 * rep.standard_error
+
+    @pytest.mark.parametrize(
+        "a, d", [(0.8, 0.6), (0.3, 0.9), (1e-12, 0.5), (0.5, 0.5), (0.999, 0.001)]
+    )
+    def test_scheme_a_residual_families_track_markov_chain(self, a, d):
+        # The traces still unconcentrated after k rounds split over eo/oe/oo
+        # as the Markov chain's masses do.
+        k, trials = 3, 20000
+        rep = mc_estimate("a", 2, a, d, k, trials, seed=11)
+        dist = initial_distribution(a, d)
+        for j in range(2, k + 1):
+            dist = markov_evolve(dist, j, a, d)
+        for family in ("eo", "oe", "oo"):
+            want = getattr(dist, family)
+            got = rep.residual_class_counts.get(family, 0) / trials
+            sigma = math.sqrt(max(want * (1.0 - want), 1e-12) / trials)
+            assert abs(got - want) <= 4.0 * sigma, (family, got, want)
 
     def test_residual_families_never_include_ee(self):
         rep = mc_estimate("b", 2, 0.8, 0.6, 2, 3000, seed=5)

@@ -10,11 +10,9 @@ from hyperconc import (
     BranchClass,
     Dof,
     DofAmplitudes,
-    Gate,
     GhzForm,
     ParityOutcome,
     RandomSource,
-    estimate_parameters,
     ghz_to_full,
     iterate_scheme_a,
     iterate_scheme_b_pool,
@@ -55,7 +53,7 @@ class TestCorrections:
         def corrections(diag):
             return _finish_round(state, even, even, diag).corrections
 
-        pol_z, spa_z = (0, Dof.POLARIZATION, Gate.Z), (0, Dof.SPATIAL, Gate.Z)
+        pol_z, spa_z = (0, Dof.POLARIZATION), (0, Dof.SPATIAL)
         assert corrections(outs) == ()
         assert corrections(outs[:2]) == (spa_z,)
         assert corrections(outs[:1]) == (pol_z,)
@@ -166,7 +164,7 @@ class TestRetryAccounting:
             for s in range(50)
             if (t := iterate_scheme_a(ghz(2, 0.8, 0.6), 4, RandomSource(s))).succeeded
         )
-        assert trace.success_round == trace.rounds_used
+        assert trace.success_round == len(trace.rounds)
         assert trace.rounds[trace.success_round - 1] is trace.rounds[-1]
         assert is_maximal(trace.rounds[-1].post)
 
@@ -176,7 +174,7 @@ class TestRetryAccounting:
             for s in range(50)
             if not (t := iterate_scheme_a(ghz(2, 0.9, 0.9), 2, RandomSource(s))).succeeded
         )
-        assert trace.rounds_used == 2 and trace.success_round is None
+        assert len(trace.rounds) == 2 and trace.success_round is None
 
     def test_max_rounds_validated(self):
         with pytest.raises(ValueError):
@@ -210,17 +208,6 @@ class TestPool:
     def test_minimum_pool(self):
         with pytest.raises(ValueError):
             iterate_scheme_b_pool(1, ghz(2, 0.7, 0.7), 1, RandomSource(0))
-
-
-class TestParameterEstimation:
-    def test_converges_to_true_values(self):
-        est = estimate_parameters(ghz(2, 0.8, 0.6), 40000, RandomSource(2))
-        assert abs(est.alpha_sq - 0.8) < 4 * est.alpha_sq_err
-        assert abs(est.delta_sq - 0.6) < 4 * est.delta_sq_err
-
-    def test_trials_validated(self):
-        with pytest.raises(ValueError):
-            estimate_parameters(ghz(2, 0.8, 0.6), 0, RandomSource(0))
 
 
 @settings(deadline=None, max_examples=30)

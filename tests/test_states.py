@@ -1,4 +1,4 @@
-"""State containers, basis layout, gates, and form extraction."""
+"""State containers, basis layout, the Z correction, and form extraction."""
 
 import math
 
@@ -11,7 +11,6 @@ from hyperconc import (
     Dof,
     DofAmplitudes,
     FullState,
-    Gate,
     GhzForm,
     apply_single_photon_gate,
     full_to_ghz,
@@ -151,7 +150,7 @@ class TestBasisLayout:
         # Z on a uniform superposition flips the sign of exactly the indices
         # whose (photon, dof) bit is set.
         s = FullState(n, np.ones(4**n, dtype=complex))
-        flipped = apply_single_photon_gate(s, photon, dof, Gate.Z)
+        flipped = apply_single_photon_gate(s, photon, dof)
         return np.flatnonzero(flipped.amplitudes.real < 0)
 
     def test_photon_zero_is_most_significant(self):
@@ -172,7 +171,7 @@ class TestBasisLayout:
 class TestGates:
     def test_z_flips_second_branch_sign(self):
         g = maximal_ghz(2)
-        s = apply_single_photon_gate(ghz_to_full(g), 0, Dof.POLARIZATION, Gate.Z)
+        s = apply_single_photon_gate(ghz_to_full(g), 0, Dof.POLARIZATION)
         got = full_to_ghz(s)
         assert got.pol.second == pytest.approx(-INV_SQRT2)
         assert got.spa.second == pytest.approx(INV_SQRT2)

@@ -1,8 +1,9 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package, test or demo imports a name it never uses.
 
-No linter is part of the toolchain, so this walks each module's syntax tree:
+No linter is part of the toolchain, so this walks each file's syntax tree:
 every name an import binds must appear as a name somewhere else in the
-module.  ``__init__.py`` re-exports what it imports and is exempt.
+file.  The package's ``__init__.py`` re-exports what it imports and is
+exempt.
 """
 
 import ast
@@ -12,9 +13,10 @@ import pytest
 
 import hyperconc
 
+ROOT = Path(__file__).parent.parent
 MODULES = sorted(
     path for path in Path(hyperconc.__file__).parent.glob("*.py") if path.name != "__init__.py"
-)
+) + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
