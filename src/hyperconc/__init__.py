@@ -3,10 +3,10 @@ closed form.
 
 N-photon states entangled in polarization and spatial mode are driven toward
 the maximally entangled form by repeated parity-check rounds, either against
-tailored single-photon ancillas or between two identical copies.  The package
-provides dense-vector simulation of the rounds, the closed-form success
-probabilities of the iteration, and a brute-force enumeration oracle that
-cross-checks both.
+a flipped one-photon copy (an ancilla) or between two identical copies.  The
+package provides dense-vector simulation of the rounds, the closed-form
+success probabilities of the iteration, and a brute-force enumeration oracle
+that cross-checks both.
 """
 
 from .analytics import (

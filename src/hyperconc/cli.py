@@ -46,7 +46,7 @@ SIMULATE_MAX_ROUNDS = 50
 SIMULATE_MAX_WORK = 2**27
 
 
-class ValidationError(Exception):
+class ValidationError(ValueError):
     """Bad arguments or out-of-range parameters."""
 
 
@@ -352,13 +352,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except ValueError as exc:
+    except ValueError as exc:  # ValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .states import Dof, FullState, _bit_shift
+from .states import Dof, FullState, _bit_mask, _bit_shift
 
 # Branches with probability below this are treated as impossible: they are
 # never sampled and branch projections report them as empty.
@@ -210,8 +210,7 @@ class SubstreamBlock:
 
 @lru_cache(maxsize=None)
 def _even_mask(n: int, shift_i: int, shift_j: int) -> np.ndarray:
-    idx = np.arange(4**n)
-    mask = ((idx >> shift_i) & 1) == ((idx >> shift_j) & 1)
+    mask = _bit_mask(n, shift_i) == _bit_mask(n, shift_j)
     mask.flags.writeable = False
     return mask
 

@@ -29,25 +29,18 @@ from .states import (
     FullState,
     _bit_mask,
     _bit_shift,
+    _repunit,
 )
 
 ORACLE_PHOTON_CAP = 8
-
-
-def _basis_index(n: int, pol_bit: int, spa_bit: int) -> int:
-    # All photons share the same digit; accumulate it position by position.
-    digit = 2 * spa_bit + pol_bit
-    idx = 0
-    for _ in range(n):
-        idx = 4 * idx + digit
-    return idx
 
 
 def _ghz_vector(n: int, pol: tuple[float, float], spa: tuple[float, float]) -> FullState:
     amps = np.zeros(4**n, dtype=np.complex128)
     for pol_bit, pw in enumerate(pol):
         for spa_bit, sw in enumerate(spa):
-            amps[_basis_index(n, pol_bit, spa_bit)] = pw * sw
+            # Every photon carries the same digit 2 * spa_bit + pol_bit.
+            amps[(2 * spa_bit + pol_bit) * _repunit(n)] = pw * sw
     return FullState(n, amps)
 
 
@@ -59,11 +52,8 @@ def _maximal_vector(n: int) -> FullState:
 
 @lru_cache(maxsize=None)
 def _all_zero_mask(n: int, spatial: bool) -> np.ndarray:
-    idx = np.arange(4**n)
-    mask = np.ones(4**n, dtype=bool)
-    for k in range(n):
-        shift = 2 * (n - 1 - k) + (1 if spatial else 0)
-        mask &= ((idx >> shift) & 1) == 0
+    dof = Dof.SPATIAL if spatial else Dof.POLARIZATION
+    mask = ~np.logical_or.reduce([_bit_mask(n, _bit_shift(n, k, dof)) for k in range(n)])
     mask.flags.writeable = False
     return mask
 
@@ -228,8 +218,8 @@ def enumerate_scheme(scheme: str, n: int, alpha_sq: float, delta_sq: float) -> O
     a, b = math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq)
     c, d = math.sqrt(delta_sq), math.sqrt(1.0 - delta_sq)
     working = _ghz_vector(n, (a, b), (c, d))
-    # Both resources carry the exchanged pairs: the tailored ancilla by
-    # construction, the flipped second copy because flipping swaps branches.
+    # Both resources are flipped copies, of one photon or of n: flipping
+    # exchanges the pairs.
     resource = _ghz_vector(n_resource, (b, a), (d, c))
 
     # The working and resource states are products of GHZ pairs, and the two
@@ -337,7 +327,9 @@ def exact_iteration_tree(
         raise ValueError("max_rounds must lie in [1, 6]")
     agree_tol = 1e-9
     # (pol settled?, spa settled?) -> (mass, pol_sq, spa_sq)
-    entries: dict[tuple[bool, bool], tuple[float, float, float]] = {}
+    entries: dict[tuple[bool, bool], tuple[float, float, float]] = {
+        (False, False): (1.0, alpha_sq, delta_sq)
+    }
     per_round: list[float] = []
 
     def absorb(tree: OutcomeTree, mass: float, pol_fixed: bool, spa_fixed: bool) -> float:
@@ -362,9 +354,7 @@ def exact_iteration_tree(
                 entries[key] = (mass * leaf.probability, leaf.pol_sq, leaf.spa_sq)
         return success
 
-    tree = enumerate_scheme(scheme, n, alpha_sq, delta_sq)
-    per_round.append(absorb(tree, 1.0, False, False))
-    for _ in range(2, max_rounds + 1):
+    for _ in range(max_rounds):
         current, entries = entries, {}
         p_round = 0.0
         for (pol_fixed, spa_fixed), (mass, pol_sq, spa_sq) in current.items():

@@ -1,12 +1,13 @@
 """Concentration protocol rounds and iteration drivers.
 
 One round takes a GHZ-like working state whose coefficients are known,
-couples it to a fresh resource (a tailored single-photon ancilla, or a second
-identical copy with every photon flipped), runs a polarization parity check
-and then a spatial parity check on the pair (working photon 0, first resource
-photon), reads the resource photons out in the diagonal basis, and applies
-sign corrections to photon 0.  Even parity in a degree of freedom leaves that
-degree of freedom balanced; odd parity squares its coefficients.
+couples it to a fresh resource, a copy of it with every photon flipped (one
+photon, the ancilla of scheme a, or all n photons for scheme b), runs a
+polarization parity check and then a spatial parity check on the pair
+(working photon 0, first resource photon), reads the resource photons out in
+the diagonal basis, and applies sign corrections to photon 0.  Even parity in
+a degree of freedom leaves that degree of freedom balanced; odd parity
+squares its coefficients.
 
 Two success notions coexist and coincide except at exact-balance inputs.  A
 single round's ``succeeded`` field reports a physical fact: the corrected
@@ -56,7 +57,6 @@ from .states import (
     full_to_ghz,
     ghz_to_full,
     is_maximal,
-    prepare_ancilla,
     tensor,
 )
 
@@ -148,12 +148,13 @@ def _dense_round(g: GhzForm, resource: GhzForm, rng: RandomSource) -> RoundResul
 def run_scheme_a_round(state: GhzForm, rng: RandomSource) -> RoundResult:
     """One ancilla-assisted round.
 
-    The working state keeps all n photons; the ancilla is checked against
+    The ancilla is the flipped one-photon copy of the working state.  The
+    working state keeps all n photons; the ancilla is checked against
     photon 0 in both degrees of freedom and then read out diagonally.
     """
     if state.n < 2:
         raise ValueError("scheme A needs at least two photons in the working state")
-    return _dense_round(state, prepare_ancilla(state.pol, state.spa), rng)
+    return _dense_round(state, flip_copy(GhzForm(1, state.pol, state.spa)), rng)
 
 
 def run_scheme_b_round(copy1: GhzForm, copy2: GhzForm, rng: RandomSource) -> RoundResult:
@@ -315,8 +316,6 @@ class PoolReport:
     total number of rounds run.
     """
 
-    initial_count: int
-    max_rounds: int
     rounds: list[PoolRound]
     distilled: int
     leftovers: int
@@ -423,11 +422,6 @@ def iterate_scheme_b_pool(
     distilled = 0
     pairs_attempted = 0
     for r in range(1, max_rounds + 1):
-        if all(cnt < 2 for _, cnt in buckets.values()):
-            # No pairs are left, so no later round attempts or moves anything.
-            rounds.extend(PoolRound(index=i, attempts=0, successes=0)
-                          for i in range(r, max_rounds + 1))
-            break
         stats = PoolRound(index=r, attempts=0, successes=0)
         new_buckets: dict[BucketKey, tuple[GhzForm, int]] = {}
 
@@ -466,8 +460,6 @@ def iterate_scheme_b_pool(
         label = FAMILIES[settled]
         leftover_counts[label] = leftover_counts.get(label, 0) + cnt
     return PoolReport(
-        initial_count=count,
-        max_rounds=max_rounds,
         rounds=rounds,
         distilled=distilled,
         leftovers=sum(leftover_counts.values()),

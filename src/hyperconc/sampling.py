@@ -43,7 +43,7 @@ from .protocol import (
     run_round_batch,
     settled_by,
 )
-from .states import DofAmplitudes, GhzForm, ghz_to_full, prepare_ancilla, tensor
+from .states import DofAmplitudes, GhzForm, flip_copy, ghz_to_full, tensor
 
 # Scheme-a trials simulated together; bounds the live substreams and buffers.
 _TRIAL_BLOCK = 4096
@@ -112,7 +112,7 @@ def _trace_block(
         parts: dict[tuple[GhzForm, int], list[np.ndarray]] = defaultdict(list)
         for (g, mask), members in groups.items():
             draws.refill(members)
-            joint = tensor(ghz_to_full(g), ghz_to_full(prepare_ancilla(g.pol, g.spa)))
+            joint = tensor(ghz_to_full(g), ghz_to_full(flip_copy(GhzForm(1, g.pol, g.spa))))
             records = run_round_batch(joint, g.n, members, draws)
             for branch, m in members_by_branch(records).items():
                 if concentrates(mask, branch):

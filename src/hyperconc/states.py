@@ -204,16 +204,6 @@ def maximal_ghz(n: int) -> GhzForm:
     return GhzForm(n, BALANCED, BALANCED)
 
 
-def prepare_ancilla(pol: DofAmplitudes, spa: DofAmplitudes) -> GhzForm:
-    """Single-photon ancilla with both amplitude pairs exchanged.
-
-    Given a working state with pairs (a, b) and (c, d), the ancilla carries
-    (b, a) and (d, c); the exchange is what makes the even-parity branches of
-    the two joint checks land on balanced coefficients.
-    """
-    return GhzForm(1, pol.swapped(), spa.swapped())
-
-
 def _repunit(n: int) -> int:
     # Index with base-4 digit 1 at every photon position: 1 + 4 + ... + 4**(n-1).
     return (4**n - 1) // 3
@@ -237,46 +227,36 @@ def ghz_to_full(g: GhzForm) -> FullState:
 def full_to_ghz(state: FullState) -> GhzForm:
     """Recover the GhzForm of a dense state, or raise if it has none.
 
-    Any relative phase (a sign left by a measurement, or phases inherited
-    from complex inputs) lands in the second amplitude of its pair.  Raises
-    ``ValueError`` when the state is not a product of two GHZ-like factors
-    within ``_FORM_TOL``.
+    The four corner amplitudes ``[[v0, v2r], [vr, v3r]]`` of a GHZ-like state
+    are the outer product of its polarization and spatial pairs, so the
+    column through the largest corner is the polarization pair and the row
+    through it the spatial pair, each up to scale.  Each pair is normalized
+    and loses the phase of its first amplitude (of its second when the first
+    vanishes, which then reads exactly 0.0), so any relative phase lands in
+    the second amplitude.  Raises ``ValueError`` when the state is not a
+    product of two GHZ-like factors within ``_FORM_TOL``.
     """
     n = state.n_photons
     r = _repunit(n)
     v = state.amplitudes
-    v_hu, v_vu, v_hd, v_vd = v[0], v[r], v[2 * r], v[3 * r]
-
-    # Moduli from marginals; exact when the state truly is GHZ-like.
-    a = math.sqrt(abs(v_hu) ** 2 + abs(v_hd) ** 2)
-    b = math.sqrt(abs(v_vu) ** 2 + abs(v_vd) ** 2)
-    c = math.sqrt(abs(v_hu) ** 2 + abs(v_vu) ** 2)
-    d = math.sqrt(abs(v_hd) ** 2 + abs(v_vd) ** 2)
-
-    zero = 1e-9
-    if a > zero and c > zero:
-        phase = v_hu / (a * c)
-        pol_second = v_vu / (phase * c) if b > zero else 0.0
-        spa_second = v_hd / (phase * a)
-    elif a <= zero < c:
-        # Polarization is (numerically) pure V; reference amplitude is v_vu.
-        phase = v_vu / (b * c)
-        pol_second = b
-        spa_second = v_vd / (phase * b)
-        a = 0.0
-    elif c <= zero < a:
-        phase = v_hd / (a * d)
-        spa_second = d
-        pol_second = v_vd / (phase * d)
-        c = 0.0
-    else:
-        pol_second, spa_second = 1.0, 1.0
-        a = c = 0.0
-
-    g = GhzForm(n, DofAmplitudes(a, pol_second), DofAmplitudes(c, spa_second))
+    corners = np.array([[v[0], v[2 * r]], [v[r], v[3 * r]]])
+    i, j = np.unravel_index(np.argmax(np.abs(corners)), corners.shape)
+    if corners[i, j] == 0:
+        raise ValueError("state has no amplitude on the four GHZ corners")
+    g = GhzForm(n, _phase_free(corners[:, j]), _phase_free(corners[i, :]))
     if fidelity(ghz_to_full(g), state) < 1.0 - _FORM_TOL:
         raise ValueError("state is not a GHZ-like product in both degrees of freedom")
     return g
+
+
+def _phase_free(pair: np.ndarray) -> DofAmplitudes:
+    # The normalized pair with a real nonnegative first amplitude, or (0, 1)
+    # when the first vanishes.  The pair runs through a nonzero corner.
+    f, s = complex(pair[0]), complex(pair[1])
+    if f == 0:
+        return DofAmplitudes(0.0, 1.0)
+    norm = math.hypot(abs(f), abs(s))
+    return DofAmplitudes(abs(f) / norm, s * f.conjugate() / (abs(f) * norm))
 
 
 def is_maximal(g: GhzForm) -> bool:
@@ -322,7 +302,14 @@ def apply_single_photon_gate(state: FullState, photon: int, dof: Dof) -> FullSta
 
 def flip_copy(g: GhzForm) -> GhzForm:
     """Bit-flip every photon in both degrees of freedom: each amplitude pair
-    swaps, relative phases included."""
+    swaps, relative phases included.
+
+    This is the resource of both schemes: given a working state with pairs
+    (a, b) and (c, d), the flipped copy (of n photons for scheme b, of one
+    photon for scheme a's ancilla) carries (b, a) and (d, c), and the
+    exchange is what makes the even-parity branches of the two joint checks
+    land on balanced coefficients.
+    """
     return GhzForm(g.n, g.pol.swapped(), g.spa.swapped())
 
 

@@ -19,14 +19,14 @@ from hyperconc import (
     tensor,
 )
 from hyperconc.measurement import DIAGONAL_OUTCOMES, diagonal_components
-from hyperconc.states import maximal_ghz, prepare_ancilla
+from hyperconc.states import flip_copy, maximal_ghz
 
 
 def joint_state(alpha_sq=0.8, delta_sq=0.6, n=2):
     pol = DofAmplitudes.from_first_probability(alpha_sq)
     spa = DofAmplitudes.from_first_probability(delta_sq)
     working = GhzForm(n, pol, spa)
-    return tensor(ghz_to_full(working), ghz_to_full(prepare_ancilla(pol, spa)))
+    return tensor(ghz_to_full(working), ghz_to_full(flip_copy(GhzForm(1, pol, spa))))
 
 
 def diagonal_probs(state, photon):

@@ -4,6 +4,7 @@ the functions the benchmark traces."""
 import ast
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import hyperconc
@@ -38,8 +39,12 @@ def test_all_is_what_init_imports():
     assert len(hyperconc.__all__) == len(set(hyperconc.__all__))
 
 
-def test_benchmark_trace_targets_resolve():
-    """Every function the benchmark's tracer wraps is found through the package."""
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    """Every function the benchmark's tracer wraps is found through the package.
+
+    The tracer is loaded read-only: no bytecode is written next to it.
+    """
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)

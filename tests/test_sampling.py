@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperconc
@@ -43,7 +43,7 @@ from hyperconc.protocol import (
     settled_by,
 )
 from hyperconc.sampling import McReport, mc_estimate
-from hyperconc.states import flip_copy, prepare_ancilla
+from hyperconc.states import flip_copy
 
 GOLDEN_SIMULATE = Path(__file__).parent / "data" / "simulate_golden.txt"
 HEADER = "$ hyperconc simulate "
@@ -159,8 +159,6 @@ def sequential_pool(count, template, max_rounds, rng):
         label = FAMILIES[settled]
         leftover_counts[label] = leftover_counts.get(label, 0) + cnt
     return PoolReport(
-        initial_count=count,
-        max_rounds=max_rounds,
         rounds=rounds,
         distilled=distilled,
         leftovers=sum(leftover_counts.values()),
@@ -229,6 +227,7 @@ class TestBatchedEqualsReference:
 
     @given(a=unit, d=unit, k=st.integers(1, 4), count=st.integers(2, 80), seed=seeds)
     @settings(max_examples=20, deadline=None)
+    @example(a=0.7, d=0.7, k=50, count=3, seed=0)  # one pair, then 49 rounds with none
     def test_pool_report(self, a, d, k, count, seed):
         """Every field, including per-round tallies in insertion order."""
         template = ghz(2, a, d)
@@ -276,7 +275,7 @@ class TestBatchedEqualsReference:
 def test_batched_successes_are_maximal_once_corrected(n):
     """Every ee record of a batched scheme-a round, corrected, is the maximal state."""
     g = ghz(n, 0.8, 0.6)
-    joint = tensor(ghz_to_full(g), ghz_to_full(prepare_ancilla(g.pol, g.spa)))
+    joint = tensor(ghz_to_full(g), ghz_to_full(flip_copy(GhzForm(1, g.pol, g.spa))))
     trials = 2000
     rows = RowDraws(RandomSource(n).uniforms(trials * 3).reshape(trials, -1))
     records = run_round_batch(joint, n, np.arange(trials), rows)

@@ -1,5 +1,6 @@
 """State containers, basis layout, the Z correction, and form extraction."""
 
+import cmath
 import math
 
 import numpy as np
@@ -24,7 +25,6 @@ from hyperconc.states import (
     flip_copy,
     is_maximal,
     maximal_ghz,
-    prepare_ancilla,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -194,10 +194,9 @@ class TestPreparation:
         assert g.first_moduli_sq() == pytest.approx((0.7, 0.4))
 
     def test_ancilla_swaps_both_pairs(self):
-        anc = prepare_ancilla(
-            DofAmplitudes.from_first_probability(0.8),
-            DofAmplitudes.from_first_probability(0.6),
-        )
+        # Scheme a's ancilla is the flipped one-photon copy of the working state.
+        working = ghz(3, 0.8, 0.6)
+        anc = flip_copy(GhzForm(1, working.pol, working.spa))
         assert anc.n == 1
         assert anc.first_moduli_sq() == pytest.approx((0.2, 0.4))
 
@@ -238,9 +237,27 @@ class TestExtraction:
 
     def test_degenerate_pure_branches(self):
         for alpha_sq, delta_sq in ((1.0, 0.6), (0.0, 0.6), (0.8, 1.0), (0.8, 0.0), (1.0, 1.0)):
-            g = ghz(2, alpha_sq, delta_sq)
-            got = full_to_ghz(ghz_to_full(g))
-            assert got.first_moduli_sq() == pytest.approx((alpha_sq, delta_sq), abs=1e-12)
+            for phase in (1.0, -1.0, 1j):  # on every second amplitude
+                g = GhzForm(
+                    2,
+                    DofAmplitudes(math.sqrt(alpha_sq), phase * math.sqrt(1.0 - alpha_sq)),
+                    DofAmplitudes(math.sqrt(delta_sq), phase * math.sqrt(1.0 - delta_sq)),
+                )
+                got = full_to_ghz(ghz_to_full(g))
+                assert got.first_moduli_sq() == pytest.approx((alpha_sq, delta_sq), abs=1e-12)
+                for pair, first_sq in ((got.pol, alpha_sq), (got.spa, delta_sq)):
+                    if first_sq == 0.0:
+                        # A vanished first amplitude reads exactly 0.0 and
+                        # leaves its partner real and positive.
+                        assert pair.first == 0.0
+                        assert pair.second.imag == 0.0 and pair.second.real > 0.0
+
+    def test_rejects_state_off_the_corners(self):
+        # No amplitude on the four corners: a ValueError, not a division by zero.
+        amps = np.zeros(16, dtype=complex)
+        amps[1] = amps[6] = 1.0
+        with pytest.raises(ValueError, match="corners"):
+            full_to_ghz(FullState(2, amps))
 
     def test_rejects_non_ghz_state(self):
         amps = np.zeros(16, dtype=complex)
@@ -271,21 +288,28 @@ class TestFidelity:
         assert 0.0 <= fidelity(t, u) <= 1.0
 
 
+# A sign (0 or pi) or any phase.
+phases = st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, 2.0 * math.pi))
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     alpha_sq=st.floats(0.01, 0.99),
     delta_sq=st.floats(0.01, 0.99),
-    pol_sign=st.sampled_from([1, -1]),
-    spa_sign=st.sampled_from([1, -1]),
+    phase=st.tuples(phases, phases, phases, phases),
     n=st.integers(1, 4),
 )
-def test_extraction_round_trip_property(alpha_sq, delta_sq, pol_sign, spa_sign, n):
+def test_extraction_round_trip_property(alpha_sq, delta_sq, phase, n):
+    # A phase on every pair amplitude puts a phase on every corner amplitude.
+    pol_first, pol_second, spa_first, spa_second = (cmath.exp(1j * p) for p in phase)
     g = GhzForm(
         n,
-        DofAmplitudes(math.sqrt(alpha_sq), pol_sign * math.sqrt(1.0 - alpha_sq)),
-        DofAmplitudes(math.sqrt(delta_sq), spa_sign * math.sqrt(1.0 - delta_sq)),
+        DofAmplitudes(pol_first * math.sqrt(alpha_sq), pol_second * math.sqrt(1.0 - alpha_sq)),
+        DofAmplitudes(spa_first * math.sqrt(delta_sq), spa_second * math.sqrt(1.0 - delta_sq)),
     )
     dense = ghz_to_full(g)
     got = full_to_ghz(dense)
     assert fidelity(ghz_to_full(got), dense) == pytest.approx(1.0, abs=1e-12)
     assert got.first_moduli_sq() == pytest.approx((alpha_sq, delta_sq), abs=1e-9)
+    for pair in (got.pol, got.spa):
+        assert pair.first.imag == 0.0 and pair.first.real >= 0.0
