@@ -39,10 +39,11 @@ GRID_MAX_ROUNDS = 50
 SIMULATE_MAX_TRIALS = 1_000_000
 SIMULATE_MAX_ROUNDS = 50
 # Dense work of one simulate run: blocks x rounds x 4**photons (see
-# _check_simulate_work).  The slowest admitted run measured took 29.5 s on a
-# 2-core x86 machine: scheme a, n=6, (0.99, 0.99), 50 rounds, 667,648 trials
-# (163 blocks).  Scheme a at n=9 admits 128 block-rounds (8,192 trials at 50
-# rounds: 23 s).  The same machine ran about 2.4x slower in some phases.
+# _check_simulate_work).  The slowest admitted run measured took 42.5 s on a
+# 2-core x86 machine in a slow phase: scheme a, n=6, (0.99, 0.99), 50 rounds,
+# 667,648 trials (163 blocks).  Scheme a at n=9 admits 128 block-rounds
+# (8,192 trials at 50 rounds: 32.8 s).  The same machine ran 2-2.6x faster in
+# other phases.
 SIMULATE_MAX_WORK = 2**27
 
 
@@ -128,9 +129,11 @@ def _check_photon_budget(scheme: str, n: int, cap: int) -> None:
 
 
 def _check_simulate_work(scheme: str, n: int, rounds: int, trials: int) -> None:
-    # The sampler builds a round's dense joint states once per block of
-    # trials (scheme a) or of pairs (scheme b), so blocks x rounds x
-    # 4**photons bounds its dense work.
+    # Each round ends at its parity checks: per block of trials (scheme a)
+    # or of pairs (scheme b), the sampler builds a round's joint state once
+    # per group that shares a state, projects it once per parity outcome and
+    # reads out no photon.  So blocks x rounds x 4**photons models its dense
+    # work.
     if scheme == "a":
         photons, blocks = n + 1, math.ceil(trials / sampling._TRIAL_BLOCK)
     else:

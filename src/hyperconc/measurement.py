@@ -354,8 +354,8 @@ def _diagonal_post(state: FullState, comps: np.ndarray, k: int, prob: float) -> 
     return FullState._adopt(state.n_photons - 1, amps)
 
 
-def _diagonal_pick(probs: np.ndarray, u):
-    """Sampled outcome index for a uniform ``u`` (a float or an array of them).
+def _diagonal_pick(probs: np.ndarray, u: float) -> int:
+    """Sampled outcome index for a uniform ``u``.
 
     Outcomes below ``MIN_BRANCH_PROBABILITY`` are never picked.  ``u`` is
     scaled by the eligible total and compared with the running sums, added
@@ -363,14 +363,13 @@ def _diagonal_pick(probs: np.ndarray, u):
     ``u`` past the last sum falls back to the last eligible outcome.
     """
     eligible = [k for k in range(4) if probs[k] >= MIN_BRANCH_PROBABILITY]
-    total = float(np.sum(probs[eligible]))
+    target = u * float(np.sum(probs[eligible]))
     acc = 0.0
-    sums = []
     for k in eligible:
         acc += float(probs[k])
-        sums.append(acc)
-    pos = np.searchsorted(sums, u * total, side="right")
-    return np.asarray(eligible)[np.minimum(pos, len(eligible) - 1)]
+        if target < acc:
+            return k
+    return eligible[-1]
 
 
 def _diagonal_probs(state: FullState, photon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -383,22 +382,6 @@ def measure_diagonal(
 ) -> tuple[DiagonalOutcome, FullState]:
     """Sample a diagonal readout of one photon; the photon leaves the state."""
     comps, probs = _diagonal_probs(state, photon)
-    pick = int(_diagonal_pick(probs, rng.uniform()))
+    pick = _diagonal_pick(probs, rng.uniform())
     return DIAGONAL_OUTCOMES[pick], _diagonal_post(state, comps, pick, probs[pick])
 
-
-def measure_diagonal_batch(
-    state: FullState, photon: int, members: np.ndarray, draw: Draw
-) -> list[tuple[DiagonalOutcome, FullState, np.ndarray]]:
-    """``measure_diagonal`` for a batch of trials that all hold ``state``.
-
-    Every member draws one uniform.  Returns one entry per outcome some
-    member drew: the outcome, its post state (projected once), and the
-    members that drew it.
-    """
-    comps, probs = _diagonal_probs(state, photon)
-    picks = _diagonal_pick(probs, draw(members))
-    return [
-        (DIAGONAL_OUTCOMES[k], _diagonal_post(state, comps, k, probs[k]), members[picks == k])
-        for k in sorted(set(picks.tolist()))
-    ]

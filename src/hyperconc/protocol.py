@@ -25,10 +25,8 @@ the pool driver accounts for.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
@@ -42,7 +40,6 @@ from .measurement import (
     _parity_post,
     _parity_probs,
     measure_diagonal,
-    measure_diagonal_batch,
     parity_measure,
     parity_measure_batch,
 )
@@ -177,45 +174,29 @@ def run_scheme_b_round(copy1: GhzForm, copy2: GhzForm, rng: RandomSource) -> Rou
     return _dense_round(copy1, flip_copy(copy2), rng)
 
 
-# One outcome record of a batched round: branch, diagonal outcomes, the
-# survivor before corrections, and the members that drew this record.
-BatchRecord = tuple[BranchClass, tuple[DiagonalOutcome, ...], FullState, np.ndarray]
-
-
 def run_round_batch(
     joint: FullState, n: int, members: np.ndarray, draw: Draw
-) -> list[BatchRecord]:
+) -> dict[BranchClass, np.ndarray]:
     """One scheme-a round for a batch of trials that all hold the joint
-    state ``joint``.
+    state ``joint``: the members of each branch class some member drew.
 
-    The steps are those of :func:`run_scheme_a_round`: parity checks on
-    photons 0 and ``n``, then the diagonal readout of photon ``n``.  Each
-    member takes its uniforms from ``draw`` in the order the single-trial
-    round takes them from its stream, and every state is built once per
-    distinct outcome, not once per member.  The sign corrections and the
-    extraction of the survivor's form are left out: the iteration loops
-    read only the branch, and ``_finish_round`` applies them to a record on
-    demand.
+    The two parity checks on photons 0 and ``n`` are those of
+    :func:`run_scheme_a_round`, projected once per outcome; each member
+    takes its uniforms from ``draw`` in the order the single-trial round
+    takes them from its stream.  The round ends there: the readout of
+    photon ``n`` only sets the sign corrections, which change no branch, so
+    each member spends its one readout uniform and no readout is simulated.
     """
-    records = []
+    branches = {}
     for pol_out, after_pol, m_pol in parity_measure_batch(
         joint, 0, n, Dof.POLARIZATION, members, draw
     ):
-        for spa_out, after_spa, m_spa in parity_measure_batch(
+        for spa_out, _, m_spa in parity_measure_batch(
             after_pol, 0, n, Dof.SPATIAL, m_pol, draw
         ):
-            branch = BranchClass.from_parities(pol_out, spa_out)
-            for outcome, survivor, m in measure_diagonal_batch(after_spa, n, m_spa, draw):
-                records.append((branch, (outcome,), survivor, m))
-    return records
-
-
-def members_by_branch(records: Iterable[BatchRecord]) -> dict[BranchClass, np.ndarray]:
-    """Merge the members of round records that share a branch class."""
-    parts: dict[BranchClass, list[np.ndarray]] = defaultdict(list)
-    for branch, _, _, members in records:
-        parts[branch].append(members)
-    return {branch: np.concatenate(p) for branch, p in parts.items()}
+            draw(m_spa)
+            branches[BranchClass.from_parities(pol_out, spa_out)] = m_spa
+    return branches
 
 
 def classify_residual(branch: BranchClass, state: GhzForm) -> GhzForm:

@@ -8,10 +8,12 @@ uniforms are drawn with its row but never simulated.
 
 Traces are simulated breadth first, in blocks of up to ``_TRIAL_BLOCK``
 trials.  In each round the trials that hold the same working state and
-settled mask form a group; the group's dense states are built once per
-distinct outcome record, and each trial picks its outcomes by comparing its
-own uniforms with the group's branch probabilities.  A block derives all
-its trials' substreams in one array pass
+settled mask form a group; the group's joint state is built and projected
+once per parity outcome, and each trial picks its branch by comparing its
+own uniforms with the group's parity odds (see
+:func:`~hyperconc.protocol.run_round_batch`).  The branch is all a round
+decides, so each trial's readout uniform is drawn but no readout is
+simulated.  A block derives all its trials' substreams in one array pass
 (:meth:`~hyperconc.measurement.RandomSource.derive_block`), which draws the
 very doubles of ``RandomSource(seed).derive(t)``, and every trial consumes
 its substream exactly as :func:`~hyperconc.protocol.iterate_scheme_a`
@@ -39,7 +41,6 @@ from .protocol import (
     concentrates,
     iterate_scheme_a,
     iterate_scheme_b_pool,
-    members_by_branch,
     run_round_batch,
     settled_by,
 )
@@ -113,8 +114,7 @@ def _trace_block(
         for (g, mask), members in groups.items():
             draws.refill(members)
             joint = tensor(ghz_to_full(g), ghz_to_full(flip_copy(GhzForm(1, g.pol, g.spa))))
-            records = run_round_batch(joint, g.n, members, draws)
-            for branch, m in members_by_branch(records).items():
+            for branch, m in run_round_batch(joint, g.n, members, draws).items():
                 if concentrates(mask, branch):
                     success[m] = k
                 else:

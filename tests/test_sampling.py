@@ -9,6 +9,7 @@ here from the single-trace reference path.
 """
 
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,11 @@ from hyperconc import (
     iterate_scheme_a,
     iterate_scheme_b_pool,
     parity_branch,
+    run_scheme_a_round,
     run_scheme_b_round,
     tensor,
 )
 from hyperconc import cli, measurement, protocol, sampling
-from hyperconc.measurement import RowDraws
 from hyperconc.protocol import (
     FAMILIES,
     classify_residual,
@@ -206,7 +207,8 @@ def reference_estimate(scheme, n, alpha_sq, delta_sq, max_rounds, trials, seed):
 
 
 # The corners and near-corners of the parameter square, plus any float.
-unit = st.one_of(st.sampled_from((0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0)), st.floats(0.0, 1.0))
+EDGES = (0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0)
+unit = st.one_of(st.sampled_from(EDGES), st.floats(0.0, 1.0))
 seeds = st.integers(0, 2**32 - 1)
 
 
@@ -217,6 +219,17 @@ class TestBatchedEqualsReference:
     def test_scheme_a(self, n, a, d, k, trials, seed):
         got = mc_estimate("a", n, a, d, k, trials, seed)
         assert got == reference_estimate("a", n, a, d, k, trials, seed)
+
+    def test_scheme_a_edge_square(self):
+        """Every corner and near-corner pair, where forced parity checks leave
+        a trial fewer uniforms to draw before its readout."""
+        t0 = time.perf_counter()
+        for a in EDGES:
+            for d in EDGES:
+                got = mc_estimate("a", 2, a, d, 5, 40, 9)
+                assert got == reference_estimate("a", 2, a, d, 5, 40, 9), (a, d)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 20.0, f"{elapsed:.1f}s (budget 20s)"
 
     @given(n=st.integers(2, 4), a=unit, d=unit, k=st.integers(1, 5),
            trials=st.integers(2, 60), seed=seeds)
@@ -272,26 +285,27 @@ class TestBatchedEqualsReference:
 
 
 @pytest.mark.parametrize("n", [2, 4], ids=["a-2", "a-4"])
-def test_batched_successes_are_maximal_once_corrected(n):
-    """Every ee record of a batched scheme-a round, corrected, is the maximal state."""
+def test_batched_round_matches_dense_rounds(n):
+    """A batched scheme-a round partitions its members by branch, and every
+    member's branch, success and stream position are those of its own dense
+    round on the same substream."""
     g = ghz(n, 0.8, 0.6)
     joint = tensor(ghz_to_full(g), ghz_to_full(flip_copy(GhzForm(1, g.pol, g.spa))))
     trials = 2000
-    rows = RowDraws(RandomSource(n).uniforms(trials * 3).reshape(trials, -1))
-    records = run_round_batch(joint, n, np.arange(trials), rows)
-    members = np.sort(np.concatenate([m for *_, m in records]))
+    master = RandomSource(n)
+    draws = sampling._TrialDraws(master, 0, trials, 2)  # two rounds buffered
+    branches = run_round_batch(joint, n, np.arange(trials), draws)
+    members = np.sort(np.concatenate(list(branches.values())))
     assert np.array_equal(members, np.arange(trials))
-    even = ParityOutcome.EVEN
-    successes = 0
-    for branch, diag, survivor, m in records:
-        pol = even if branch in (BranchClass.EE, BranchClass.EO) else ParityOutcome.ODD
-        spa = even if branch in (BranchClass.EE, BranchClass.OE) else ParityOutcome.ODD
-        res = protocol._finish_round(survivor, pol, spa, diag)
-        assert res.branch is branch
-        if branch is BranchClass.EE:
-            assert res.succeeded
-            successes += len(m)
-    assert successes > 0
+    assert len(branches[BranchClass.EE]) > 0
+    for branch, m in branches.items():
+        for t in m.tolist():
+            rng = master.derive(t)
+            res = run_scheme_a_round(g, rng)
+            assert res.branch is branch, t
+            assert res.succeeded == (branch is BranchClass.EE), t
+            # both have read the same uniforms: their next one agrees
+            assert rng.uniform() == draws.rows[t, draws.cursor[t]], t
 
 
 def test_oracle_is_independent_of_the_samplers():
@@ -318,6 +332,24 @@ def test_pool_reads_out_no_photon(monkeypatch):
     g = ghz(3, 0.8, 0.6)
     run_scheme_b_round(g, g, RandomSource(0))
     assert calls == 3  # the single-pair round reads out every second-copy photon
+
+
+def test_scheme_a_batch_reads_out_no_photon(monkeypatch):
+    """The batched scheme-a rounds end at the parity checks: only the
+    trial-0 replay reads a photon out, once per round."""
+    calls = 0
+    original = measurement.diagonal_components
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(measurement, "diagonal_components", counting)
+    mc_estimate("a", 3, 0.8, 0.6, 3, 2000, 5)
+    during = calls
+    replay = iterate_scheme_a(ghz(3, 0.8, 0.6), 3, RandomSource(5).derive(0))
+    assert during == len(replay.rounds) == calls - during
 
 
 def test_pool_projects_each_outcome_once(monkeypatch):
