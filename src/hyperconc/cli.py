@@ -131,9 +131,9 @@ def _check_photon_budget(scheme: str, n: int, cap: int) -> None:
 def _check_simulate_work(scheme: str, n: int, rounds: int, trials: int) -> None:
     # Each round ends at its parity checks: per block of trials (scheme a)
     # or of pairs (scheme b), the sampler builds a round's joint state once
-    # per group that shares a state, projects it once per parity outcome and
-    # reads out no photon.  So blocks x rounds x 4**photons models its dense
-    # work.
+    # per group that shares a state, projects its polarization check once per
+    # outcome and reads out no photon.  So blocks x rounds x 4**photons
+    # models its dense work.
     if scheme == "a":
         photons, blocks = n + 1, math.ceil(trials / sampling._TRIAL_BLOCK)
     else:

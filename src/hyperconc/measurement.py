@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -274,47 +273,6 @@ def parity_measure(
     return outcome, _parity_post(state, outcome, p_even, mask)[1]
 
 
-# Next uniform of each listed member of a batch, in the members' order.
-Draw = Callable[[np.ndarray], np.ndarray]
-
-
-class RowDraws:
-    """A ``Draw`` over a matrix of uniforms: member m reads row m left to right."""
-
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
-        self.cursor = np.zeros(len(rows), dtype=np.intp)
-
-    def __call__(self, members: np.ndarray) -> np.ndarray:
-        u = self.rows[members, self.cursor[members]]
-        self.cursor[members] += 1
-        return u
-
-
-def parity_measure_batch(
-    state: FullState, i: int, j: int, dof: Dof, members: np.ndarray, draw: Draw
-) -> list[tuple[ParityOutcome, FullState, np.ndarray]]:
-    """``parity_measure`` for a batch of trials that all hold ``state``.
-
-    Each member draws its own uniform (none when the outcome is forced) and
-    compares it with the shared even probability.  Returns one entry per
-    outcome some member drew: the outcome, its post state (projected once),
-    and the members that drew it.
-    """
-    p_even, mask = _parity_probs(state, i, j, dof)
-    forced = _forced_parity(p_even)
-    if forced is not None:
-        splits = [(forced, members)]
-    else:
-        even = draw(members) < p_even
-        splits = [(ParityOutcome.EVEN, members[even]), (ParityOutcome.ODD, members[~even])]
-    return [
-        (outcome, _parity_post(state, outcome, p_even, mask)[1], subset)
-        for outcome, subset in splits
-        if subset.size
-    ]
-
-
 # Conjugated rows of the four diagonal readout vectors, in DIAGONAL_OUTCOMES
 # order, in the single-photon digit basis (uH, uV, dH, dV): the readout
 # vectors are (1, pol_sign, spa_sign, pol_sign*spa_sign) / 2.  Scaling
@@ -347,41 +305,24 @@ def diagonal_components(state: FullState, photon: int) -> np.ndarray:
     return np.tensordot(resh, _READOUT_CONJ, axes=([1], [1]))
 
 
-def _diagonal_post(state: FullState, comps: np.ndarray, k: int, prob: float) -> FullState:
-    """The one diagonal projection: outcome ``k``'s renormalized remainder."""
-    amps = comps[:, :, k].flatten()
-    amps /= np.sqrt(prob)
-    return FullState._adopt(state.n_photons - 1, amps)
-
-
-def _diagonal_pick(probs: np.ndarray, u: float) -> int:
-    """Sampled outcome index for a uniform ``u``.
-
-    Outcomes below ``MIN_BRANCH_PROBABILITY`` are never picked.  ``u`` is
-    scaled by the eligible total and compared with the running sums, added
-    in outcome order; the first sum above it wins, and rounding that leaves
-    ``u`` past the last sum falls back to the last eligible outcome.
-    """
-    eligible = [k for k in range(4) if probs[k] >= MIN_BRANCH_PROBABILITY]
-    target = u * float(np.sum(probs[eligible]))
-    acc = 0.0
-    for k in eligible:
-        acc += float(probs[k])
-        if target < acc:
-            return k
-    return eligible[-1]
-
-
-def _diagonal_probs(state: FullState, photon: int) -> tuple[np.ndarray, np.ndarray]:
-    comps = diagonal_components(state, photon)
-    return comps, np.sum(comps.real**2 + comps.imag**2, axis=(0, 1))
-
-
 def measure_diagonal(
     state: FullState, photon: int, rng: RandomSource
 ) -> tuple[DiagonalOutcome, FullState]:
     """Sample a diagonal readout of one photon; the photon leaves the state."""
-    comps, probs = _diagonal_probs(state, photon)
-    pick = _diagonal_pick(probs, rng.uniform())
-    return DIAGONAL_OUTCOMES[pick], _diagonal_post(state, comps, pick, probs[pick])
-
+    comps = diagonal_components(state, photon)
+    probs = np.sum(comps.real**2 + comps.imag**2, axis=(0, 1))
+    # Outcomes below MIN_BRANCH_PROBABILITY are never picked.  The uniform is
+    # scaled by the eligible total and compared with the running sums, added
+    # in outcome order; the first sum above it wins, and rounding that leaves
+    # it past the last sum falls back to the last eligible outcome, where the
+    # loop ends.
+    eligible = [k for k in range(4) if probs[k] >= MIN_BRANCH_PROBABILITY]
+    target = rng.uniform() * float(np.sum(probs[eligible]))
+    acc = 0.0
+    for pick in eligible:
+        acc += float(probs[pick])
+        if target < acc:
+            break
+    amps = comps[:, :, pick].flatten()
+    amps /= np.sqrt(probs[pick])
+    return DIAGONAL_OUTCOMES[pick], FullState._adopt(state.n_photons - 1, amps)

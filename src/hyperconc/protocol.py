@@ -33,7 +33,6 @@ import numpy as np
 from .errors import ConsistencyError
 from .measurement import (
     DiagonalOutcome,
-    Draw,
     ParityOutcome,
     RandomSource,
     _forced_parity,
@@ -41,7 +40,6 @@ from .measurement import (
     _parity_probs,
     measure_diagonal,
     parity_measure,
-    parity_measure_batch,
 )
 from .states import (
     BALANCED,
@@ -174,29 +172,66 @@ def run_scheme_b_round(copy1: GhzForm, copy2: GhzForm, rng: RandomSource) -> Rou
     return _dense_round(copy1, flip_copy(copy2), rng)
 
 
-def run_round_batch(
-    joint: FullState, n: int, members: np.ndarray, draw: Draw
-) -> dict[BranchClass, np.ndarray]:
-    """One scheme-a round for a batch of trials that all hold the joint
-    state ``joint``: the members of each branch class some member drew.
+@dataclass(frozen=True)
+class _RoundOdds:
+    """The odds of a round's two parity checks, which alone decide its branch.
 
-    The two parity checks on photons 0 and ``n`` are those of
-    :func:`run_scheme_a_round`, projected once per outcome; each member
-    takes its uniforms from ``draw`` in the order the single-trial round
-    takes them from its stream.  The round ends there: the readout of
-    photon ``n`` only sets the sign corrections, which change no branch, so
-    each member spends its one readout uniform and no readout is simulated.
+    ``p_pol`` is the polarization check's even probability and
+    ``pol_forced`` its certain outcome, or ``None`` when it draws.  ``spa``
+    maps each outcome the polarization check can take to the spatial
+    check's even probability after it, that check's certain outcome or
+    ``None``, and the uniforms a member with that polarization outcome uses
+    in all: one per unforced check and one per resource photon read out.
     """
-    branches = {}
-    for pol_out, after_pol, m_pol in parity_measure_batch(
-        joint, 0, n, Dof.POLARIZATION, members, draw
-    ):
-        for spa_out, _, m_spa in parity_measure_batch(
-            after_pol, 0, n, Dof.SPATIAL, m_pol, draw
-        ):
-            draw(m_spa)
-            branches[BranchClass.from_parities(pol_out, spa_out)] = m_spa
-    return branches
+
+    p_pol: float
+    pol_forced: ParityOutcome | None
+    spa: dict[ParityOutcome, tuple[float, ParityOutcome | None, int]]
+
+    def branches(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's branch as a settled mask (see :func:`settled_by`), and
+        the number of uniforms its member used.
+
+        Row r holds a member's uniforms in the order :func:`_dense_round`
+        draws them from its stream: the polarization check's, the spatial
+        check's, then one per readout.  A readout only sets sign
+        corrections, which change no branch, so its uniform is counted but
+        not read.
+        """
+        pol_draws = int(self.pol_forced is None)
+        if pol_draws:
+            pol_even = rows[:, 0] < self.p_pol
+        else:
+            pol_even = np.full(len(rows), self.pol_forced is ParityOutcome.EVEN)
+        spa_even = np.empty(len(rows), dtype=bool)
+        used = np.empty(len(rows), dtype=np.intp)
+        for outcome, (p_spa, forced, draws) in self.spa.items():
+            mine = pol_even == (outcome is ParityOutcome.EVEN)
+            if forced is None:
+                spa_even[mine] = rows[mine, pol_draws] < p_spa
+            else:
+                spa_even[mine] = forced is ParityOutcome.EVEN
+            used[mine] = draws
+        return 2 * pol_even + spa_even, used
+
+
+def _round_odds(g: GhzForm, resource: GhzForm) -> _RoundOdds:
+    """The odds of :func:`_dense_round` on ``g`` and ``resource``.
+
+    The joint state is built once, and the polarization check is projected
+    once per outcome it can take, exactly as the dense round projects it.
+    """
+    n = g.n
+    joint = tensor(ghz_to_full(g), ghz_to_full(resource))
+    p_pol, mask = _parity_probs(joint, 0, n, Dof.POLARIZATION)
+    pol_forced = _forced_parity(p_pol)
+    spa = {}
+    for outcome in ParityOutcome if pol_forced is None else (pol_forced,):
+        p_spa = _parity_probs(_parity_post(joint, outcome, p_pol, mask)[1], 0, n, Dof.SPATIAL)[0]
+        forced = _forced_parity(p_spa)
+        draws = int(pol_forced is None) + int(forced is None) + resource.n
+        spa[outcome] = (p_spa, forced, draws)
+    return _RoundOdds(p_pol, pol_forced, spa)
 
 
 def classify_residual(branch: BranchClass, state: GhzForm) -> GhzForm:
@@ -308,26 +343,19 @@ class PoolReport:
 _PAIR_BLOCK = 4096
 
 
-def _pair_uniforms(
-    rng: RandomSource, pairs: int, p_even: float, draws: dict[ParityOutcome, int]
-) -> np.ndarray:
-    """The next ``pairs`` pairs' uniforms from ``rng``, one row per pair.
-
-    ``draws`` gives, per outcome the polarization check can take, the
-    uniforms a pair consumes in all; ``p_even`` is that check's even
-    probability.
-    """
-    widths = set(draws.values())
+def _pair_uniforms(rng: RandomSource, pairs: int, odds: _RoundOdds) -> np.ndarray:
+    """The next ``pairs`` pairs' uniforms from ``rng``, one row per pair."""
+    widths = {draws for _, _, draws in odds.spa.values()}
     if len(widths) == 1:
         return rng.uniforms(pairs * widths.pop()).reshape(pairs, -1)
     # The spatial check is forced after one polarization outcome only, so a
-    # pair's draw count depends on its own polarization draw: walk the pairs.
+    # pair's draw count depends on its own polarization draw, the first of
+    # its row: walk the pairs.
     rows = np.zeros((pairs, max(widths)))
     for row in rows:
         row[0] = rng.uniform()
-        outcome = ParityOutcome.EVEN if row[0] < p_even else ParityOutcome.ODD
-        rest = draws[outcome] - 1
-        row[1 : 1 + rest] = rng.uniforms(rest)
+        used = odds.branches(row[None])[1][0]
+        row[1:used] = rng.uniforms(used - 1)
     return rows
 
 
@@ -337,39 +365,15 @@ def _bucket_branches(g: GhzForm, pairs: int, rng: RandomSource) -> np.ndarray:
 
     ``rng`` is consumed exactly as by the calls one after another: pair by
     pair, each pair's draws in order, one per unforced parity check and one
-    per diagonal readout.  The branch is decided from parity odds alone:
-    the polarization check is projected once per outcome, and each pair
-    compares its uniforms with the even probabilities of the two checks.
-    The readouts change no branch, so none is simulated.
+    per diagonal readout.  Each pair's branch is decided from the round's
+    parity odds (see :class:`_RoundOdds`); the readouts change no branch,
+    so none is simulated.
     """
-    n = g.n
-    joint = tensor(ghz_to_full(g), ghz_to_full(flip_copy(g)))
-    p_pol, mask = _parity_probs(joint, 0, n, Dof.POLARIZATION)
-    pol_forced = _forced_parity(p_pol)
-    # Per possible polarization outcome: the spatial even probability after
-    # it, and the spatial outcome when that is forced.
-    spa = {}
-    for outcome in ParityOutcome if pol_forced is None else (pol_forced,):
-        p_spa = _parity_probs(_parity_post(joint, outcome, p_pol, mask)[1], 0, n, Dof.SPATIAL)[0]
-        spa[outcome] = (p_spa, _forced_parity(p_spa))
-    pol_draws = int(pol_forced is None)
-    draws = {o: pol_draws + int(forced is None) + n for o, (_, forced) in spa.items()}
-    masks = []
-    for start in range(0, pairs, _PAIR_BLOCK):
-        rows = _pair_uniforms(rng, min(_PAIR_BLOCK, pairs - start), p_pol, draws)
-        if pol_forced is None:
-            pol_even = rows[:, 0] < p_pol
-        else:
-            pol_even = np.full(len(rows), pol_forced is ParityOutcome.EVEN)
-        spa_even = np.empty(len(rows), dtype=bool)
-        for outcome, (p_spa, forced) in spa.items():
-            mine = pol_even == (outcome is ParityOutcome.EVEN)
-            if forced is None:
-                spa_even[mine] = rows[mine, pol_draws] < p_spa
-            else:
-                spa_even[mine] = forced is ParityOutcome.EVEN
-        masks.append(2 * pol_even + spa_even)
-    return np.concatenate(masks)
+    odds = _round_odds(g, flip_copy(g))
+    return np.concatenate([
+        odds.branches(_pair_uniforms(rng, min(_PAIR_BLOCK, pairs - start), odds))[0]
+        for start in range(0, pairs, _PAIR_BLOCK)
+    ])
 
 
 def iterate_scheme_b_pool(

@@ -8,12 +8,13 @@ uniforms are drawn with its row but never simulated.
 
 Traces are simulated breadth first, in blocks of up to ``_TRIAL_BLOCK``
 trials.  In each round the trials that hold the same working state and
-settled mask form a group; the group's joint state is built and projected
-once per parity outcome, and each trial picks its branch by comparing its
-own uniforms with the group's parity odds (see
-:func:`~hyperconc.protocol.run_round_batch`).  The branch is all a round
-decides, so each trial's readout uniform is drawn but no readout is
-simulated.  A block derives all its trials' substreams in one array pass
+settled mask form a group.  Both samplers decide a round the same way (see
+:class:`~hyperconc.protocol._RoundOdds`): the joint state of the group's
+state and its resource is built once and its polarization check projected
+once per outcome, and each trial compares its own uniforms with the two
+checks' odds.  The branch is all a round decides, so each trial's readout
+uniform is counted but no readout is simulated.  A block derives all its
+trials' substreams in one array pass
 (:meth:`~hyperconc.measurement.RandomSource.derive_block`), which draws the
 very doubles of ``RandomSource(seed).derive(t)``, and every trial consumes
 its substream exactly as :func:`~hyperconc.protocol.iterate_scheme_a`
@@ -32,19 +33,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .measurement import _SPAWN_LIMIT, RandomSource, RowDraws
+from .measurement import _SPAWN_LIMIT, RandomSource
 from .protocol import (
     FAMILIES,
+    BranchClass,
     IterationTrace,
+    _round_odds,
     check_scheme,
     classify_residual,
     concentrates,
     iterate_scheme_a,
     iterate_scheme_b_pool,
-    run_round_batch,
     settled_by,
 )
-from .states import DofAmplitudes, GhzForm, flip_copy, ghz_to_full, tensor
+from .states import DofAmplitudes, GhzForm, flip_copy
 
 # Scheme-a trials simulated together; bounds the live substreams and buffers.
 _TRIAL_BLOCK = 4096
@@ -72,8 +74,9 @@ class McReport:
     residual_class_counts: dict[str, int]
 
 
-class _TrialDraws(RowDraws):
-    """Uniforms of one block of trials: row t buffers its trial's substream.
+class _TrialDraws:
+    """Uniforms of one block of trials: row t buffers its trial's substream,
+    and ``cursor[t]`` indexes the first uniform of the row not yet read.
 
     A trial reads nothing but its own substream, so uniforms buffered past
     its last round are simply never used.
@@ -81,10 +84,14 @@ class _TrialDraws(RowDraws):
 
     def __init__(self, master: RandomSource, start: int, count: int, max_rounds: int):
         self.streams = master.derive_block(start, count)
-        super().__init__(self.streams.uniforms(_ROUND_DRAWS * min(max_rounds, _BUFFERED_ROUNDS)))
+        self.rows = self.streams.uniforms(_ROUND_DRAWS * min(max_rounds, _BUFFERED_ROUNDS))
+        self.cursor = np.zeros(count, dtype=np.intp)
 
-    def refill(self, members: np.ndarray) -> None:
-        """Leave every member at least one round's worth of unread uniforms."""
+    def next_round(self, members: np.ndarray) -> np.ndarray:
+        """The next round's uniforms of each member, one row each, unread.
+
+        Rows that hold less than a round's worth unread are refilled first.
+        """
         low = members[self.cursor[members] > self.rows.shape[1] - _ROUND_DRAWS]
         used = self.cursor[low]
         for count in set(used.tolist()):
@@ -93,6 +100,7 @@ class _TrialDraws(RowDraws):
                 (self.rows[rows, count:], self.streams.uniforms(count, rows)), axis=1
             )
             self.cursor[rows] = 0
+        return self.rows[members[:, None], self.cursor[members][:, None] + np.arange(_ROUND_DRAWS)]
 
 
 def _trace_block(
@@ -112,9 +120,14 @@ def _trace_block(
             break
         parts: dict[tuple[GhzForm, int], list[np.ndarray]] = defaultdict(list)
         for (g, mask), members in groups.items():
-            draws.refill(members)
-            joint = tensor(ghz_to_full(g), ghz_to_full(flip_copy(GhzForm(1, g.pol, g.spa))))
-            for branch, m in run_round_batch(joint, g.n, members, draws).items():
+            odds = _round_odds(g, flip_copy(GhzForm(1, g.pol, g.spa)))
+            found, used = odds.branches(draws.next_round(members))
+            draws.cursor[members] += used
+            for value, family in enumerate(FAMILIES):
+                m = members[found == value]
+                if not m.size:
+                    continue
+                branch = BranchClass(family)
                 if concentrates(mask, branch):
                     success[m] = k
                 else:

@@ -40,7 +40,6 @@ from hyperconc.protocol import (
     FAMILIES,
     classify_residual,
     concentrates,
-    run_round_batch,
     settled_by,
 )
 from hyperconc.sampling import McReport, mc_estimate
@@ -270,18 +269,31 @@ class TestBatchedEqualsReference:
     @pytest.mark.parametrize("a, n, d", [(0.3, 2, 5.0000000000000244e-15),
                                          (0.5, 3, 5.0000000000000205e-15)])
     def test_pool_with_pair_dependent_draw_count(self, a, n, d):
-        """The spatial check is forced after one polarization outcome only."""
+        """The spatial check is forced after one polarization outcome only,
+        so members of one group use different numbers of uniforms."""
         g = ghz(n, a, d)
-        joint = tensor(ghz_to_full(g), ghz_to_full(flip_copy(g)))
-        forced = []
-        for outcome in ParityOutcome:
-            _, post = parity_branch(joint, 0, n, Dof.POLARIZATION, outcome)
-            p_even, _ = parity_branch(post, 0, n, Dof.SPATIAL, ParityOutcome.EVEN)
-            forced.append(min(p_even, 1.0 - p_even) < measurement.MIN_BRANCH_PROBABILITY)
-        assert sorted(forced) == [False, True]
+
+        def forced_after(resource):
+            """Per polarization outcome, even then odd: is the spatial check forced?"""
+            joint = tensor(ghz_to_full(g), ghz_to_full(resource))
+            forced = []
+            for outcome in ParityOutcome:
+                _, post = parity_branch(joint, 0, n, Dof.POLARIZATION, outcome)
+                p_even, _ = parity_branch(post, 0, n, Dof.SPATIAL, ParityOutcome.EVEN)
+                forced.append(min(p_even, 1.0 - p_even) < measurement.MIN_BRANCH_PROBABILITY)
+            return forced
+
+        assert sorted(forced_after(flip_copy(g))) == [False, True]
+        # scheme a: forced after odd at (0.3, n=2), after even at (0.5, n=3)
+        assert forced_after(flip_copy(GhzForm(1, g.pol, g.spa))) == (
+            [False, True] if a == 0.3 else [True, False]
+        )
         for seed in (0, 1, 2):
             got = iterate_scheme_b_pool(61, g, 3, RandomSource(seed))
             assert got == sequential_pool(61, g, 3, RandomSource(seed))
+            assert mc_estimate("a", n, a, d, 3, 61, seed) == reference_estimate(
+                "a", n, a, d, 3, 61, seed
+            )
 
 
 @pytest.mark.parametrize("n", [2, 4], ids=["a-2", "a-4"])
@@ -290,13 +302,15 @@ def test_batched_round_matches_dense_rounds(n):
     member's branch, success and stream position are those of its own dense
     round on the same substream."""
     g = ghz(n, 0.8, 0.6)
-    joint = tensor(ghz_to_full(g), ghz_to_full(flip_copy(GhzForm(1, g.pol, g.spa))))
     trials = 2000
     master = RandomSource(n)
     draws = sampling._TrialDraws(master, 0, trials, 2)  # two rounds buffered
-    branches = run_round_batch(joint, n, np.arange(trials), draws)
-    members = np.sort(np.concatenate(list(branches.values())))
-    assert np.array_equal(members, np.arange(trials))
+    members = np.arange(trials)
+    odds = protocol._round_odds(g, flip_copy(GhzForm(1, g.pol, g.spa)))
+    found, used = odds.branches(draws.next_round(members))
+    draws.cursor[members] += used
+    branches = {BranchClass(f): members[found == v] for v, f in enumerate(FAMILIES)}
+    assert np.array_equal(np.sort(np.concatenate(list(branches.values()))), members)
     assert len(branches[BranchClass.EE]) > 0
     for branch, m in branches.items():
         for t in m.tolist():
@@ -352,9 +366,14 @@ def test_scheme_a_batch_reads_out_no_photon(monkeypatch):
     assert during == len(replay.rounds) == calls - during
 
 
-def test_pool_projects_each_outcome_once(monkeypatch):
-    """A bucket round projects the polarization check once per outcome and
-    decides every pair's branch from parity odds."""
+@pytest.mark.parametrize(
+    "args", [("a", 3, 0.8, 0.6, 3, 2000, 5), ("b", 2, 0.7, 0.7, 3, 400, 1)], ids=["a", "b"]
+)
+def test_pool_projects_each_outcome_once(monkeypatch, args):
+    """Both samplers build a round's joint state once per group, project its
+    polarization check once per outcome and decide every member's branch
+    from parity odds; the trial-0 replay's dense rounds project each check
+    once."""
     counts = {"tensor": 0, "_parity_post": 0}
 
     def counting(name, original):
@@ -368,8 +387,8 @@ def test_pool_projects_each_outcome_once(monkeypatch):
     post = counting("_parity_post", measurement._parity_post)
     for module in (measurement, protocol):
         monkeypatch.setattr(module, "_parity_post", post, raising=False)
-    mc_estimate("b", 2, 0.7, 0.7, 3, 400, 1)
-    assert counts["tensor"] > 0  # one joint state per bucket round
+    mc_estimate(*args)
+    assert counts["tensor"] > 0  # one joint state per group round
     assert counts["_parity_post"] <= 2 * counts["tensor"]
 
 
