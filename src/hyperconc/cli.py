@@ -129,11 +129,13 @@ def _check_photon_budget(scheme: str, n: int, cap: int) -> None:
 
 
 def _check_simulate_work(scheme: str, n: int, rounds: int, trials: int) -> None:
-    # Each round ends at its parity checks: per block of trials (scheme a)
-    # or of pairs (scheme b), the sampler builds a round's joint state once
-    # per group that shares a state, projects its polarization check once per
-    # outcome and reads out no photon.  So blocks x rounds x 4**photons
-    # models its dense work.
+    # Each round ends at its parity checks and reads out no photon.  A call
+    # builds a round's joint state and projects its polarization check once
+    # per distinct state it meets (its table of odds), however many groups,
+    # blocks and rounds share that state.  The limit still models
+    # blocks x rounds x 4**photons, the dense work when every block-round
+    # rebuilt its states: a conservative upper bound now that the table
+    # pays each state once.
     if scheme == "a":
         photons, blocks = n + 1, math.ceil(trials / sampling._TRIAL_BLOCK)
     else:

@@ -25,6 +25,7 @@ the pool driver accounts for.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -253,6 +254,27 @@ def classify_residual(branch: BranchClass, state: GhzForm) -> GhzForm:
     return GhzForm(state.n, pol, spa)
 
 
+class _RoundTable(dict):
+    """The rounds of one sampler call, one entry per distinct state, each
+    filled the first time the call meets its state.
+
+    ``table[g]`` holds the :class:`_RoundOdds` of a round on ``g`` and
+    ``resource(g)``, and the residual form of each failing branch (see
+    :func:`classify_residual`).  The resource is a function of ``g``, so
+    ``g`` alone is the key.  A table lives as long as its call: every
+    block, group and bucket round of the call reads it.
+    """
+
+    def __init__(self, resource: Callable[[GhzForm], GhzForm]):
+        super().__init__()
+        self.resource = resource
+
+    def __missing__(self, g: GhzForm) -> tuple[_RoundOdds, dict[BranchClass, GhzForm]]:
+        residuals = {b: classify_residual(b, g) for b in BranchClass if b is not BranchClass.EE}
+        self[g] = entry = (_round_odds(g, self.resource(g)), residuals)
+        return entry
+
+
 # Retry accounting.  A degree of freedom is settled once an even outcome has
 # balanced it; the settled ones form a mask 2 * pol + spa, into which every
 # failed round ORs the checks its branch found even.  FAMILIES[mask] labels a
@@ -359,17 +381,16 @@ def _pair_uniforms(rng: RandomSource, pairs: int, odds: _RoundOdds) -> np.ndarra
     return rows
 
 
-def _bucket_branches(g: GhzForm, pairs: int, rng: RandomSource) -> np.ndarray:
+def _bucket_branches(odds: _RoundOdds, pairs: int, rng: RandomSource) -> np.ndarray:
     """The branches of ``pairs`` calls of ``run_scheme_b_round(g, g, rng)``
-    in a row, as settled masks (see :func:`settled_by`), one per pair.
+    in a row, as settled masks (see :func:`settled_by`), one per pair;
+    ``odds`` are that round's odds on ``g`` (see :class:`_RoundOdds`).
 
     ``rng`` is consumed exactly as by the calls one after another: pair by
     pair, each pair's draws in order, one per unforced parity check and one
     per diagonal readout.  Each pair's branch is decided from the round's
-    parity odds (see :class:`_RoundOdds`); the readouts change no branch,
-    so none is simulated.
+    parity odds; the readouts change no branch, so none is simulated.
     """
-    odds = _round_odds(g, flip_copy(g))
     return np.concatenate([
         odds.branches(_pair_uniforms(rng, min(_PAIR_BLOCK, pairs - start), odds))[0]
         for start in range(0, pairs, _PAIR_BLOCK)
@@ -390,10 +411,12 @@ def iterate_scheme_b_pool(
     The pairs of a bucket are decided together, from the odds of the two
     parity checks, which alone decide the branch (see
     :func:`_bucket_branches`); the diagonal readouts change no branch, so
-    they are skipped.  The results equal those of running
-    ``run_scheme_b_round`` pair by pair, buckets in creation order, on ``rng``: new buckets and
-    residual tallies enter in the order of the first pair that produces
-    them, and a merged bucket keeps the state of its first contributor.
+    they are skipped.  The odds and residuals of each distinct state are
+    computed once per run (see :class:`_RoundTable`).  The results equal
+    those of running ``run_scheme_b_round`` pair by pair, buckets in
+    creation order, on ``rng``: new buckets and residual tallies enter in
+    the order of the first pair that produces them, and a merged bucket
+    keeps the state of its first contributor.
     """
     if count < 2:
         raise ValueError("the pool needs at least two copies")
@@ -403,6 +426,7 @@ def iterate_scheme_b_pool(
         raise ValueError("scheme B needs at least two photons per copy")
     BucketKey = tuple[int, int]  # (settled mask, birth round)
     buckets: dict[BucketKey, tuple[GhzForm, int]] = {(0, 0): (template, count)}
+    table = _RoundTable(flip_copy)
     rounds: list[PoolRound] = []
     distilled = 0
     pairs_attempted = 0
@@ -425,8 +449,9 @@ def iterate_scheme_b_pool(
                 continue
             stats.attempts += cnt // 2
             pairs_attempted += cnt // 2
+            odds, residuals = table[g]
             found, first, counts = np.unique(
-                _bucket_branches(g, cnt // 2, rng), return_index=True, return_counts=True
+                _bucket_branches(odds, cnt // 2, rng), return_index=True, return_counts=True
             )
             for i in np.argsort(first):  # in the order of each branch's first pair
                 branch, k = BranchClass(FAMILIES[found[i]]), int(counts[i])
@@ -435,7 +460,7 @@ def iterate_scheme_b_pool(
                     distilled += k
                 else:
                     stats.residual_counts[branch] = stats.residual_counts.get(branch, 0) + k
-                    _add((settled | settled_by(branch), r), classify_residual(branch, g), k)
+                    _add((settled | settled_by(branch), r), residuals[branch], k)
         rounds.append(stats)
         buckets = new_buckets
     leftover_counts: dict[str, int] = {}

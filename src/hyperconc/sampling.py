@@ -9,11 +9,14 @@ uniforms are drawn with its row but never simulated.
 Traces are simulated breadth first, in blocks of up to ``_TRIAL_BLOCK``
 trials.  In each round the trials that hold the same working state and
 settled mask form a group.  Both samplers decide a round the same way (see
-:class:`~hyperconc.protocol._RoundOdds`): the joint state of the group's
-state and its resource is built once and its polarization check projected
-once per outcome, and each trial compares its own uniforms with the two
-checks' odds.  The branch is all a round decides, so each trial's readout
-uniform is counted but no readout is simulated.  A block derives all its
+:class:`~hyperconc.protocol._RoundOdds`): each trial compares its own
+uniforms with the odds of the two parity checks.  The branch is all a round
+decides, so each trial's readout uniform is counted but no readout is
+simulated.  Each call keeps one table of odds (see
+:class:`~hyperconc.protocol._RoundTable`): the first time the call meets a
+state, the joint state of it and its resource is built once and its
+polarization check projected once per outcome, and every later group,
+block and round on that state reads the entry.  A block derives all its
 trials' substreams in one array pass
 (:meth:`~hyperconc.measurement.RandomSource.derive_block`), which draws the
 very doubles of ``RandomSource(seed).derive(t)``, and every trial consumes
@@ -38,9 +41,8 @@ from .protocol import (
     FAMILIES,
     BranchClass,
     IterationTrace,
-    _round_odds,
+    _RoundTable,
     check_scheme,
-    classify_residual,
     concentrates,
     iterate_scheme_a,
     iterate_scheme_b_pool,
@@ -104,9 +106,10 @@ class _TrialDraws:
 
 
 def _trace_block(
-    template: GhzForm, max_rounds: int, draws: _TrialDraws
+    template: GhzForm, max_rounds: int, draws: _TrialDraws, table: _RoundTable
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``iterate_scheme_a`` for every trial of one block, breadth first.
+    """``iterate_scheme_a`` for every trial of one block, breadth first,
+    reading each round's odds and residuals from the call's ``table``.
 
     Returns each trial's success round (0 when every round failed) and its
     final settled mask (see :func:`~hyperconc.protocol.concentrates`).
@@ -120,7 +123,7 @@ def _trace_block(
             break
         parts: dict[tuple[GhzForm, int], list[np.ndarray]] = defaultdict(list)
         for (g, mask), members in groups.items():
-            odds = _round_odds(g, flip_copy(GhzForm(1, g.pol, g.spa)))
+            odds, residuals = table[g]
             found, used = odds.branches(draws.next_round(members))
             draws.cursor[members] += used
             for value, family in enumerate(FAMILIES):
@@ -131,7 +134,7 @@ def _trace_block(
                 if concentrates(mask, branch):
                     success[m] = k
                 else:
-                    parts[classify_residual(branch, g), mask | settled_by(branch)].append(m)
+                    parts[residuals[branch], mask | settled_by(branch)].append(m)
         groups = {key: np.concatenate(p) for key, p in parts.items()}
     for (_, mask), members in groups.items():
         settled[members] = mask
@@ -181,9 +184,10 @@ def mc_estimate(
     residual_counts: dict[str, int] = {}
     if scheme == "a":
         replay = _trace_record(iterate_scheme_a(template, max_rounds, master.derive(0)))
+        table = _RoundTable(lambda g: flip_copy(GhzForm(1, g.pol, g.spa)))
         for start in range(0, trials, _TRIAL_BLOCK):
             draws = _TrialDraws(master, start, min(_TRIAL_BLOCK, trials - start), max_rounds)
-            success, settled = _trace_block(template, max_rounds, draws)
+            success, settled = _trace_block(template, max_rounds, draws, table)
             if start == 0:
                 first = int(success[0])
                 record = (first, None if first else FAMILIES[settled[0]])

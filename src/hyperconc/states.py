@@ -272,10 +272,11 @@ def is_maximal(g: GhzForm) -> bool:
 def tensor(a: FullState, b: FullState) -> FullState:
     """Tensor product; photons of ``a`` come first (most significant)."""
     n = a.n_photons + b.n_photons
-    # Checked before np.kron allocates the 4**n product.
+    # Checked before the 4**n product is allocated.  The flattened outer
+    # product has the bytes of np.kron on vectors, at a fraction of its cost.
     if n > PHOTON_CAP:
         raise ValueError(f"tensor product of {n} photons exceeds cap of {PHOTON_CAP}")
-    return FullState(n, np.kron(a.amplitudes, b.amplitudes))
+    return FullState(n, np.multiply.outer(a.amplitudes, b.amplitudes).ravel())
 
 
 def _bit_shift(n: int, photon: int, dof: Dof) -> int:

@@ -322,6 +322,64 @@ def test_batched_round_matches_dense_rounds(n):
             assert rng.uniform() == draws.rows[t, draws.cursor[t]], t
 
 
+@pytest.fixture
+def odds_states(monkeypatch):
+    """The states ``protocol._round_odds`` builds a round on, in call order."""
+    seen = []
+    original = protocol._round_odds
+
+    def recording(g, resource):
+        seen.append(g)
+        return original(g, resource)
+
+    monkeypatch.setattr(protocol, "_round_odds", recording)
+    return seen
+
+
+class TestRoundTable:
+    """Each sampler call builds a round's odds once per distinct state."""
+
+    def test_one_state_one_entry(self, odds_states):
+        # balanced in both degrees of freedom: every residual is the state itself
+        mc_estimate("a", 2, 0.5, 0.5, 5, 100, 3)
+        assert len(odds_states) == 1
+
+    def test_entries_do_not_grow_with_blocks(self, odds_states, monkeypatch):
+        args = ("a", 3, 0.8, 0.6, 10, 10000, 3)
+        mc_estimate(*args)
+        whole = list(odds_states)
+        assert len(whole) > 1
+        assert len(set(whole)) == len(whole)
+        odds_states.clear()
+        monkeypatch.setattr(sampling, "_TRIAL_BLOCK", 7)
+        mc_estimate(*args)
+        assert len(odds_states) == len(whole)
+        assert set(odds_states) == set(whole)
+
+    def test_pool_fills_a_shared_state_once(self, odds_states, monkeypatch):
+        bucket_rounds = 0
+        original = protocol._bucket_branches
+
+        def counting(*args):
+            nonlocal bucket_rounds
+            bucket_rounds += 1
+            return original(*args)
+
+        monkeypatch.setattr(protocol, "_bucket_branches", counting)
+        mc_estimate("b", 2, 0.5, 0.5, 5, 400, 3)
+        assert bucket_rounds > 1
+        assert len(odds_states) == 1
+
+    @pytest.mark.parametrize(
+        "args", [("a", 3, 0.8, 0.6, 4, 500, 2), ("b", 2, 0.7, 0.7, 3, 400, 2)], ids=["a", "b"]
+    )
+    def test_each_call_fills_its_own_table(self, odds_states, args):
+        mc_estimate(*args)
+        once = list(odds_states)
+        mc_estimate(*args)
+        assert odds_states == once + once
+
+
 def test_oracle_is_independent_of_the_samplers():
     """The oracle holds no sampler and spells the retry rule on its own."""
     names = vars(hyperconc.oracle)
@@ -370,10 +428,10 @@ def test_scheme_a_batch_reads_out_no_photon(monkeypatch):
     "args", [("a", 3, 0.8, 0.6, 3, 2000, 5), ("b", 2, 0.7, 0.7, 3, 400, 1)], ids=["a", "b"]
 )
 def test_pool_projects_each_outcome_once(monkeypatch, args):
-    """Both samplers build a round's joint state once per group, project its
-    polarization check once per outcome and decide every member's branch
-    from parity odds; the trial-0 replay's dense rounds project each check
-    once."""
+    """Both samplers build a round's joint state once per distinct state,
+    project its polarization check once per outcome and decide every
+    member's branch from parity odds; the trial-0 replay's dense rounds
+    project each check once."""
     counts = {"tensor": 0, "_parity_post": 0}
 
     def counting(name, original):
@@ -388,7 +446,7 @@ def test_pool_projects_each_outcome_once(monkeypatch, args):
     for module in (measurement, protocol):
         monkeypatch.setattr(module, "_parity_post", post, raising=False)
     mc_estimate(*args)
-    assert counts["tensor"] > 0  # one joint state per group round
+    assert counts["tensor"] > 0  # one joint state per distinct state
     assert counts["_parity_post"] <= 2 * counts["tensor"]
 
 

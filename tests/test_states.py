@@ -18,6 +18,7 @@ from hyperconc import (
     ghz_to_full,
     tensor,
 )
+from hyperconc import states
 from hyperconc.states import (
     BALANCED,
     PHOTON_CAP,
@@ -220,6 +221,29 @@ class TestTensor:
         assert abs(joint.amplitudes[1]) == pytest.approx(1.0)  # last photon V
         big = ghz_to_full(maximal_ghz(6))
         with pytest.raises(ValueError):
+            tensor(big, big)
+
+    def test_bytes_equal_kron(self):
+        """The product carries the bytes of np.kron, signed zeros included."""
+        rng = np.random.default_rng(3)
+        for na, nb in ((1, 1), (2, 1), (3, 2), (4, 1)):
+            a, b = (rng.normal(size=(4**m, 2)) @ (1, 1j) for m in (na, nb))
+            a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+            a[:3] = (-0.0, complex(0.0, -0.0), complex(-0.0, -0.0))
+            b[-2:] = (complex(-0.0, 0.0), complex(0.0, -0.0))
+            a, b = FullState(na, a), FullState(nb, b)
+            joint = tensor(a, b)
+            assert joint.amplitudes.tobytes() == np.kron(a.amplitudes, b.amplitudes).tobytes()
+
+    def test_cap_checked_before_allocation(self, monkeypatch):
+        big = ghz_to_full(maximal_ghz(6))
+
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} used before the photon cap check")
+
+        monkeypatch.setattr(states, "np", NoNumpy())
+        with pytest.raises(ValueError, match="exceeds cap of 10"):
             tensor(big, big)
 
 
