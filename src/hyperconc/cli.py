@@ -21,7 +21,7 @@ import tempfile
 
 import numpy as np
 
-from . import analytics, oracle, protocol, sampling
+from . import analytics, oracle, sampling
 from .errors import ConsistencyError
 from .protocol import classify_residual, BranchClass
 from .states import DofAmplitudes, GhzForm, PHOTON_CAP
@@ -34,17 +34,12 @@ EXIT_IO = 3
 # Upper limits on the work of one invocation, checked before anything is
 # computed.  At the grid limits a sweep takes 3-4 s and peaks at 65 MiB RSS
 # (10,201 points at 50 rounds, in one array call) on a 2-core x86 machine.
+# With the photon cap, the simulate limits admit scheme a at n=9 over 50
+# rounds and 10**6 trials, the slowest run measured: 13-18 s, 96 MiB.
 GRID_MAX_RESOLUTION = 101
 GRID_MAX_ROUNDS = 50
 SIMULATE_MAX_TRIALS = 1_000_000
 SIMULATE_MAX_ROUNDS = 50
-# Dense work of one simulate run: blocks x rounds x 4**photons (see
-# _check_simulate_work).  The slowest admitted run measured took 42.5 s on a
-# 2-core x86 machine in a slow phase: scheme a, n=6, (0.99, 0.99), 50 rounds,
-# 667,648 trials (163 blocks).  Scheme a at n=9 admits 128 block-rounds
-# (8,192 trials at 50 rounds: 32.8 s).  The same machine ran 2-2.6x faster in
-# other phases.
-SIMULATE_MAX_WORK = 2**27
 
 
 class ValidationError(ValueError):
@@ -128,26 +123,6 @@ def _check_photon_budget(scheme: str, n: int, cap: int) -> None:
     )
 
 
-def _check_simulate_work(scheme: str, n: int, rounds: int, trials: int) -> None:
-    # Each round ends at its parity checks and reads out no photon.  A call
-    # builds a round's joint state and projects its polarization check once
-    # per distinct state it meets (its table of odds), however many groups,
-    # blocks and rounds share that state.  The limit still models
-    # blocks x rounds x 4**photons, the dense work when every block-round
-    # rebuilt its states: a conservative upper bound now that the table
-    # pays each state once.
-    if scheme == "a":
-        photons, blocks = n + 1, math.ceil(trials / sampling._TRIAL_BLOCK)
-    else:
-        photons, blocks = 2 * n, math.ceil(trials // 2 / protocol._PAIR_BLOCK)
-    work = blocks * rounds * 4**photons
-    _require(
-        work <= SIMULATE_MAX_WORK,
-        f"simulate work {blocks} blocks x {rounds} rounds x 4**{photons} amplitudes "
-        f"= {work} is over the limit of {SIMULATE_MAX_WORK}; use fewer trials, rounds or photons",
-    )
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     _check_unit("--alpha-sq", args.alpha_sq)
     _check_unit("--delta-sq", args.delta_sq)
@@ -158,7 +133,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.scheme == "b":
         _require(args.trials >= 2, "scheme b pools need at least 2 trials (copies)")
     _check_photon_budget(args.scheme, args.n, PHOTON_CAP)
-    _check_simulate_work(args.scheme, args.n, args.rounds, args.trials)
     report = sampling.mc_estimate(
         args.scheme, args.n, args.alpha_sq, args.delta_sq, args.rounds, args.trials, args.seed
     )

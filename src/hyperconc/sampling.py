@@ -7,11 +7,12 @@ pair's branch from the odds of the two parity checks: each pair's readout
 uniforms are drawn with its row but never simulated.
 
 Traces are simulated breadth first, in blocks of up to ``_TRIAL_BLOCK``
-trials.  In each round the trials that hold the same working state and
-settled mask form a group.  Both samplers decide a round the same way (see
+trials; a block bounds the memory of a call and nothing else.  In each
+round the trials that hold the same working state and settled mask form a
+group.  Both samplers decide a round the same way (see
 :class:`~hyperconc.protocol._RoundOdds`): each trial compares its own
 uniforms with the odds of the two parity checks.  The branch is all a round
-decides, so each trial's readout uniform is counted but no readout is
+decides, so each trial's readout uniform is drawn but no readout is
 simulated.  Each call keeps one table of odds (see
 :class:`~hyperconc.protocol._RoundTable`): the first time the call meets a
 state, the joint state of it and its resource is built once and its
@@ -19,12 +20,13 @@ polarization check projected once per outcome, and every later group,
 block and round on that state reads the entry.  A block derives all its
 trials' substreams in one array pass
 (:meth:`~hyperconc.measurement.RandomSource.derive_block`), which draws the
-very doubles of ``RandomSource(seed).derive(t)``, and every trial consumes
-its substream exactly as :func:`~hyperconc.protocol.iterate_scheme_a`
-would.  So the report equals that of running the traces one by one and
-does not depend on the block size.  Each call replays its trial 0 through
-``iterate_scheme_a``, on numpy's own generator, and raises
-:class:`ConsistencyError` when the two disagree.
+very doubles of ``RandomSource(seed).derive(t)``, and each group-round draws
+its members' uniforms straight from their substreams, exactly as
+:func:`~hyperconc.protocol.iterate_scheme_a` would.  So the report equals
+that of running the traces one by one and does not depend on the block
+size.  Each call replays its trial 0 through ``iterate_scheme_a``, on
+numpy's own generator, and raises :class:`ConsistencyError` when the two
+disagree.
 """
 
 from __future__ import annotations
@@ -36,11 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .measurement import _SPAWN_LIMIT, RandomSource
+from .measurement import _SPAWN_LIMIT, RandomSource, SubstreamBlock
 from .protocol import (
     FAMILIES,
     BranchClass,
     IterationTrace,
+    _RoundOdds,
     _RoundTable,
     check_scheme,
     concentrates,
@@ -50,12 +53,9 @@ from .protocol import (
 )
 from .states import DofAmplitudes, GhzForm, flip_copy
 
-# Scheme-a trials simulated together; bounds the live substreams and buffers.
+# Scheme-a trials simulated together; bounds the live substreams and the
+# per-trial arrays, and nothing else.
 _TRIAL_BLOCK = 4096
-# Uniforms one scheme-a round draws at most (two parity checks, one readout),
-# and the most rounds' worth buffered per trial between refills.
-_ROUND_DRAWS = 3
-_BUFFERED_ROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -76,45 +76,34 @@ class McReport:
     residual_class_counts: dict[str, int]
 
 
-class _TrialDraws:
-    """Uniforms of one block of trials: row t buffers its trial's substream,
-    and ``cursor[t]`` indexes the first uniform of the row not yet read.
-
-    A trial reads nothing but its own substream, so uniforms buffered past
-    its last round are simply never used.
-    """
-
-    def __init__(self, master: RandomSource, start: int, count: int, max_rounds: int):
-        self.streams = master.derive_block(start, count)
-        self.rows = self.streams.uniforms(_ROUND_DRAWS * min(max_rounds, _BUFFERED_ROUNDS))
-        self.cursor = np.zeros(count, dtype=np.intp)
-
-    def next_round(self, members: np.ndarray) -> np.ndarray:
-        """The next round's uniforms of each member, one row each, unread.
-
-        Rows that hold less than a round's worth unread are refilled first.
-        """
-        low = members[self.cursor[members] > self.rows.shape[1] - _ROUND_DRAWS]
-        used = self.cursor[low]
-        for count in set(used.tolist()):
-            rows = low[used == count]
-            self.rows[rows] = np.concatenate(
-                (self.rows[rows, count:], self.streams.uniforms(count, rows)), axis=1
-            )
-            self.cursor[rows] = 0
-        return self.rows[members[:, None], self.cursor[members][:, None] + np.arange(_ROUND_DRAWS)]
+def _round_rows(odds: _RoundOdds, streams: SubstreamBlock, members: np.ndarray) -> np.ndarray:
+    """Each member's uniforms of one round on ``odds``, one row each (see
+    :meth:`~hyperconc.protocol._RoundOdds.branches`), drawn straight from
+    the member's own stream."""
+    widths = {draws for _, _, draws in odds.spa.values()}
+    if len(widths) == 1:
+        return streams.uniforms(widths.pop(), members)
+    # The spatial check is forced after one polarization outcome only, so a
+    # member's draw count depends on its own polarization draw: draw that
+    # first, then each outcome's remaining uniforms.
+    rows = np.zeros((len(members), max(widths)))
+    rows[:, :1] = streams.uniforms(1, members)
+    used = odds.branches(rows)[1]
+    for w in widths:
+        rows[used == w, 1:w] = streams.uniforms(w - 1, members[used == w])
+    return rows
 
 
 def _trace_block(
-    template: GhzForm, max_rounds: int, draws: _TrialDraws, table: _RoundTable
+    template: GhzForm, max_rounds: int, streams: SubstreamBlock, count: int, table: _RoundTable
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``iterate_scheme_a`` for every trial of one block, breadth first,
-    reading each round's odds and residuals from the call's ``table``.
+    """``iterate_scheme_a`` for the ``count`` trials of one block, breadth
+    first, on their ``streams``, reading each round's odds and residuals from
+    the call's ``table``.
 
     Returns each trial's success round (0 when every round failed) and its
     final settled mask (see :func:`~hyperconc.protocol.concentrates`).
     """
-    count = len(draws.rows)
     success = np.zeros(count, dtype=np.intp)
     settled = np.zeros(count, dtype=np.intp)
     groups = {(template, 0): np.arange(count)}
@@ -124,8 +113,7 @@ def _trace_block(
         parts: dict[tuple[GhzForm, int], list[np.ndarray]] = defaultdict(list)
         for (g, mask), members in groups.items():
             odds, residuals = table[g]
-            found, used = odds.branches(draws.next_round(members))
-            draws.cursor[members] += used
+            found = odds.branches(_round_rows(odds, streams, members))[0]
             for value, family in enumerate(FAMILIES):
                 m = members[found == value]
                 if not m.size:
@@ -186,8 +174,9 @@ def mc_estimate(
         replay = _trace_record(iterate_scheme_a(template, max_rounds, master.derive(0)))
         table = _RoundTable(lambda g: flip_copy(GhzForm(1, g.pol, g.spa)))
         for start in range(0, trials, _TRIAL_BLOCK):
-            draws = _TrialDraws(master, start, min(_TRIAL_BLOCK, trials - start), max_rounds)
-            success, settled = _trace_block(template, max_rounds, draws, table)
+            count = min(_TRIAL_BLOCK, trials - start)
+            streams = master.derive_block(start, count)
+            success, settled = _trace_block(template, max_rounds, streams, count, table)
             if start == 0:
                 first = int(success[0])
                 record = (first, None if first else FAMILIES[settled[0]])

@@ -120,6 +120,20 @@ class TestSimulate:
         assert json.loads(capsys.readouterr().out)["trials"] == 1_000_000
         assert elapsed < 10.0, f"{elapsed:.1f}s (budget 10s)"
 
+    def test_million_copy_pool_within_budget(self, capsys):
+        # A pool at the trial and rounds limits on eight photons: every
+        # distinct state's odds are built once per call, however many pairs
+        # and rounds hold it.
+        t0 = time.perf_counter()
+        code = cli.main([
+            "simulate", "--scheme", "b", "--n", "4", "--alpha-sq", "0.8", "--delta-sq", "0.6",
+            "--rounds", "50", "--trials", "1000000",
+        ])
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["trials"] == 1_000_000
+        assert elapsed < 10.0, f"{elapsed:.1f}s (budget 10s)"
+
     def test_single_trial_wellformed(self):
         proc = run_cli(
             "simulate", "--scheme", "a", "--n", "2", "--alpha-sq", "0.8",
@@ -220,10 +234,10 @@ class TestExitCodes:
         assert err.startswith(f"error: {option} must lie in [") and err.count("\n") == 1, err
         assert err.endswith(f", {limit}], got {limit + 1}\n"), err
 
-    @pytest.mark.parametrize("scheme, n, per_block", [("a", 9, 4096), ("b", 5, 2 * 4096)])
-    def test_simulate_work_limit(self, scheme, n, per_block, capsys, monkeypatch):
-        # At 50 rounds on 10 photons, the most blocks the dense-work limit
-        # admits reach the (stubbed) work; one block more exits 1 with one
+    @pytest.mark.parametrize("scheme, n", [("a", 9), ("b", 5)])
+    def test_photon_cap_bounds_n(self, scheme, n, capsys, monkeypatch):
+        # At the rounds and trial limits, the largest n within the photon cap
+        # (10 photons) reaches the (stubbed) work; one more exits 1 with one
         # error line before any work starts.
         class Started(Exception):
             pass
@@ -232,14 +246,15 @@ class TestExitCodes:
             raise Started
 
         monkeypatch.setattr(sampling, "mc_estimate", start)
-        blocks = cli.SIMULATE_MAX_WORK // (50 * 4**10)
-        argv = ["simulate", "--scheme", scheme, "--n", str(n), "--alpha-sq", "0.8",
-                "--delta-sq", "0.6", "--rounds", "50", "--trials"]
+        argv = ["simulate", "--scheme", scheme, "--alpha-sq", "0.8", "--delta-sq", "0.6",
+                "--rounds", str(cli.SIMULATE_MAX_ROUNDS),
+                "--trials", str(cli.SIMULATE_MAX_TRIALS), "--n"]
         with pytest.raises(Started):
-            cli.main(argv + [str(blocks * per_block)])
-        assert cli.main(argv + [str(blocks * per_block + 2)]) == 1
+            cli.main(argv + [str(n)])
+        assert cli.main(argv + [str(n + 1)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: simulate work ") and err.count("\n") == 1, err
+        assert err.startswith(f"error: scheme {scheme} with n={n + 1} simulates "), err
+        assert err.endswith("over the cap of 10\n") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize(
         "command,seed",

@@ -251,8 +251,9 @@ class TestBatchedEqualsReference:
         ]
 
     @pytest.mark.parametrize("a, d", [(0.0, 0.5), (0.5, 0.5), (0.9, 1e-12)])
-    def test_many_rounds_refill_trial_buffers(self, a, d):
-        """Traces that outlive the per-trial uniform buffer stay exact."""
+    def test_many_rounds_stay_exact(self, a, d):
+        """Traces of up to 12 rounds, each round drawn afresh from every
+        trial's substream, stay exact."""
         assert mc_estimate("a", 2, a, d, 12, 40, 3) == reference_estimate("a", 2, a, d, 12, 40, 3)
 
     def test_trials_beyond_one_spawn_word_rejected(self):
@@ -304,11 +305,10 @@ def test_batched_round_matches_dense_rounds(n):
     g = ghz(n, 0.8, 0.6)
     trials = 2000
     master = RandomSource(n)
-    draws = sampling._TrialDraws(master, 0, trials, 2)  # two rounds buffered
+    streams = master.derive_block(0, trials)
     members = np.arange(trials)
     odds = protocol._round_odds(g, flip_copy(GhzForm(1, g.pol, g.spa)))
-    found, used = odds.branches(draws.next_round(members))
-    draws.cursor[members] += used
+    found = odds.branches(sampling._round_rows(odds, streams, members))[0]
     branches = {BranchClass(f): members[found == v] for v, f in enumerate(FAMILIES)}
     assert np.array_equal(np.sort(np.concatenate(list(branches.values()))), members)
     assert len(branches[BranchClass.EE]) > 0
@@ -319,7 +319,26 @@ def test_batched_round_matches_dense_rounds(n):
             assert res.branch is branch, t
             assert res.succeeded == (branch is BranchClass.EE), t
             # both have read the same uniforms: their next one agrees
-            assert rng.uniform() == draws.rows[t, draws.cursor[t]], t
+            assert rng.uniform() == streams.uniforms(1, np.array([t]))[0, 0], t
+
+
+@pytest.mark.parametrize("a, d", [(0.0, 0.5), (0.5, 0.5), (0.9, 1e-12),
+                                  (0.3, 5.0000000000000244e-15)])
+def test_block_leaves_each_stream_where_its_trace_ends(a, d):
+    """After 12 rounds of a block at n=2, every trial's substream stands where
+    its own ``iterate_scheme_a`` leaves it, also at (0.3, 5e-15), where the
+    spatial check is forced after one polarization outcome only."""
+    g = ghz(2, a, d)
+    trials, rounds = 200, 12
+    master = RandomSource(4)
+    streams = master.derive_block(0, trials)
+    table = protocol._RoundTable(lambda s: flip_copy(GhzForm(1, s.pol, s.spa)))
+    sampling._trace_block(g, rounds, streams, trials, table)
+    after = streams.uniforms(1)[:, 0]
+    for t in range(trials):
+        rng = master.derive(t)
+        iterate_scheme_a(g, rounds, rng)
+        assert rng.uniform() == after[t], t
 
 
 @pytest.fixture
