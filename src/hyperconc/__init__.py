@@ -40,15 +40,12 @@ from .oracle import (
 from .protocol import (
     BranchClass,
     IterationTrace,
-    PoolReport,
-    PoolRound,
     RoundResult,
     iterate_scheme_a,
-    iterate_scheme_b_pool,
     run_scheme_a_round,
     run_scheme_b_round,
 )
-from .sampling import McReport, mc_estimate
+from .sampling import McReport, PoolReport, PoolRound, iterate_scheme_b_pool, mc_estimate
 from .states import (
     Dof,
     DofAmplitudes,

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import Dof, FullState, _bit_mask, _bit_shift
+from .states import Dof, FullState, _bit_shift
 
 # Branches with probability below this are treated as impossible: they are
 # never sampled and branch projections report them as empty.
@@ -209,7 +209,12 @@ class SubstreamBlock:
 
 @lru_cache(maxsize=None)
 def _even_mask(n: int, shift_i: int, shift_j: int) -> np.ndarray:
-    mask = _bit_mask(n, shift_i) == _bit_mask(n, shift_j)
+    # From the index bits themselves, so that no per-bit mask of a joint
+    # size is cached beside it; uint32 holds every index up to 16 photons.
+    index = np.arange(4**n, dtype=np.uint32)
+    bits = index >> shift_i
+    bits ^= index >> shift_j
+    mask = bits & 1 == 0
     mask.flags.writeable = False
     return mask
 

@@ -1,4 +1,4 @@
-"""Concentration protocol rounds and iteration drivers.
+"""Concentration protocol rounds and iteration drivers: the dense reference.
 
 One round takes a GHZ-like working state whose coefficients are known,
 couples it to a fresh resource, a copy of it with every photon flipped (one
@@ -18,27 +18,23 @@ that merely starts at one half is not credited until a parity check pins it.
 The drivers' tallies therefore match the closed-form retry recursion even on
 the balance boundary, where the physical field is true on every branch.
 
-Failed rounds are rerun on the residual: single survivors pair with fresh
-ancillas, while two-copy residuals must pair with each other, which is what
-the pool driver accounts for.
+Failed rounds are rerun on the residual: a single survivor pairs with a
+fresh ancilla (:func:`iterate_scheme_a`).  Every round here runs on dense
+vectors through the public parity checks and readout of ``measurement``,
+one trial at a time.  The batched samplers, the two-copy pool among them,
+live in ``sampling`` and are checked against these rounds, so this module
+imports nothing from there.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .errors import ConsistencyError
 from .measurement import (
     DiagonalOutcome,
     ParityOutcome,
     RandomSource,
-    _forced_parity,
-    _parity_post,
-    _parity_probs,
     measure_diagonal,
     parity_measure,
 )
@@ -173,68 +169,6 @@ def run_scheme_b_round(copy1: GhzForm, copy2: GhzForm, rng: RandomSource) -> Rou
     return _dense_round(copy1, flip_copy(copy2), rng)
 
 
-@dataclass(frozen=True)
-class _RoundOdds:
-    """The odds of a round's two parity checks, which alone decide its branch.
-
-    ``p_pol`` is the polarization check's even probability and
-    ``pol_forced`` its certain outcome, or ``None`` when it draws.  ``spa``
-    maps each outcome the polarization check can take to the spatial
-    check's even probability after it, that check's certain outcome or
-    ``None``, and the uniforms a member with that polarization outcome uses
-    in all: one per unforced check and one per resource photon read out.
-    """
-
-    p_pol: float
-    pol_forced: ParityOutcome | None
-    spa: dict[ParityOutcome, tuple[float, ParityOutcome | None, int]]
-
-    def branches(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's branch as a settled mask (see :func:`settled_by`), and
-        the number of uniforms its member used.
-
-        Row r holds a member's uniforms in the order :func:`_dense_round`
-        draws them from its stream: the polarization check's, the spatial
-        check's, then one per readout.  A readout only sets sign
-        corrections, which change no branch, so its uniform is counted but
-        not read.
-        """
-        pol_draws = int(self.pol_forced is None)
-        if pol_draws:
-            pol_even = rows[:, 0] < self.p_pol
-        else:
-            pol_even = np.full(len(rows), self.pol_forced is ParityOutcome.EVEN)
-        spa_even = np.empty(len(rows), dtype=bool)
-        used = np.empty(len(rows), dtype=np.intp)
-        for outcome, (p_spa, forced, draws) in self.spa.items():
-            mine = pol_even == (outcome is ParityOutcome.EVEN)
-            if forced is None:
-                spa_even[mine] = rows[mine, pol_draws] < p_spa
-            else:
-                spa_even[mine] = forced is ParityOutcome.EVEN
-            used[mine] = draws
-        return 2 * pol_even + spa_even, used
-
-
-def _round_odds(g: GhzForm, resource: GhzForm) -> _RoundOdds:
-    """The odds of :func:`_dense_round` on ``g`` and ``resource``.
-
-    The joint state is built once, and the polarization check is projected
-    once per outcome it can take, exactly as the dense round projects it.
-    """
-    n = g.n
-    joint = tensor(ghz_to_full(g), ghz_to_full(resource))
-    p_pol, mask = _parity_probs(joint, 0, n, Dof.POLARIZATION)
-    pol_forced = _forced_parity(p_pol)
-    spa = {}
-    for outcome in ParityOutcome if pol_forced is None else (pol_forced,):
-        p_spa = _parity_probs(_parity_post(joint, outcome, p_pol, mask)[1], 0, n, Dof.SPATIAL)[0]
-        forced = _forced_parity(p_spa)
-        draws = int(pol_forced is None) + int(forced is None) + resource.n
-        spa[outcome] = (p_spa, forced, draws)
-    return _RoundOdds(p_pol, pol_forced, spa)
-
-
 def classify_residual(branch: BranchClass, state: GhzForm) -> GhzForm:
     """Residual family for a failed branch.
 
@@ -252,27 +186,6 @@ def classify_residual(branch: BranchClass, state: GhzForm) -> GhzForm:
     pol = BALANCED if branch is BranchClass.EO else squared(state.pol)
     spa = BALANCED if branch is BranchClass.OE else squared(state.spa)
     return GhzForm(state.n, pol, spa)
-
-
-class _RoundTable(dict):
-    """The rounds of one sampler call, one entry per distinct state, each
-    filled the first time the call meets its state.
-
-    ``table[g]`` holds the :class:`_RoundOdds` of a round on ``g`` and
-    ``resource(g)``, and the residual form of each failing branch (see
-    :func:`classify_residual`).  The resource is a function of ``g``, so
-    ``g`` alone is the key.  A table lives as long as its call: every
-    block, group and bucket round of the call reads it.
-    """
-
-    def __init__(self, resource: Callable[[GhzForm], GhzForm]):
-        super().__init__()
-        self.resource = resource
-
-    def __missing__(self, g: GhzForm) -> tuple[_RoundOdds, dict[BranchClass, GhzForm]]:
-        residuals = {b: classify_residual(b, g) for b in BranchClass if b is not BranchClass.EE}
-        self[g] = entry = (_round_odds(g, self.resource(g)), residuals)
-        return entry
 
 
 # Retry accounting.  A degree of freedom is settled once an even outcome has
@@ -330,149 +243,3 @@ def iterate_scheme_a(state: GhzForm, max_rounds: int, rng: RandomSource) -> Iter
         settled |= settled_by(res.branch)
         state = classify_residual(res.branch, state)
     return IterationTrace(tuple(results), False, None)
-
-
-@dataclass
-class PoolRound:
-    """Per-round tally of a pool run."""
-
-    index: int
-    attempts: int
-    successes: int
-    residual_counts: dict[BranchClass, int] = field(default_factory=dict)
-
-
-@dataclass
-class PoolReport:
-    """Outcome of a two-copy pool run.
-
-    ``distilled`` counts maximal states produced; ``leftovers`` counts states
-    that never found a partner (odd bucket populations, or survivors of the
-    final round).  ``leftover_counts`` splits them by residual family, where
-    eo means polarization settled, oe spatial settled, oo neither (fresh
-    never-attempted copies also land under oo).  ``pairs_attempted`` is the
-    total number of rounds run.
-    """
-
-    rounds: list[PoolRound]
-    distilled: int
-    leftovers: int
-    leftover_counts: dict[str, int]
-    pairs_attempted: int
-
-
-# Pairs of one pool bucket simulated together; bounds the uniforms drawn at once.
-_PAIR_BLOCK = 4096
-
-
-def _pair_uniforms(rng: RandomSource, pairs: int, odds: _RoundOdds) -> np.ndarray:
-    """The next ``pairs`` pairs' uniforms from ``rng``, one row per pair."""
-    widths = {draws for _, _, draws in odds.spa.values()}
-    if len(widths) == 1:
-        return rng.uniforms(pairs * widths.pop()).reshape(pairs, -1)
-    # The spatial check is forced after one polarization outcome only, so a
-    # pair's draw count depends on its own polarization draw, the first of
-    # its row: walk the pairs.
-    rows = np.zeros((pairs, max(widths)))
-    for row in rows:
-        row[0] = rng.uniform()
-        used = odds.branches(row[None])[1][0]
-        row[1:used] = rng.uniforms(used - 1)
-    return rows
-
-
-def _bucket_branches(odds: _RoundOdds, pairs: int, rng: RandomSource) -> np.ndarray:
-    """The branches of ``pairs`` calls of ``run_scheme_b_round(g, g, rng)``
-    in a row, as settled masks (see :func:`settled_by`), one per pair;
-    ``odds`` are that round's odds on ``g`` (see :class:`_RoundOdds`).
-
-    ``rng`` is consumed exactly as by the calls one after another: pair by
-    pair, each pair's draws in order, one per unforced parity check and one
-    per diagonal readout.  Each pair's branch is decided from the round's
-    parity odds; the readouts change no branch, so none is simulated.
-    """
-    return np.concatenate([
-        odds.branches(_pair_uniforms(rng, min(_PAIR_BLOCK, pairs - start), odds))[0]
-        for start in range(0, pairs, _PAIR_BLOCK)
-    ])
-
-
-def iterate_scheme_b_pool(
-    count: int, template: GhzForm, max_rounds: int, rng: RandomSource
-) -> PoolReport:
-    """Drive a pool of identical copies through two-copy rounds.
-
-    States pair only with states of identical coefficients, so buckets are
-    keyed by (settled mask, round of creation); same-age residuals of the
-    same family merge even when different branches produced them, while an
-    unpaired leftover stays in its bucket and can never mix with the
-    (differently squared) residuals of later rounds.
-
-    The pairs of a bucket are decided together, from the odds of the two
-    parity checks, which alone decide the branch (see
-    :func:`_bucket_branches`); the diagonal readouts change no branch, so
-    they are skipped.  The odds and residuals of each distinct state are
-    computed once per run (see :class:`_RoundTable`).  The results equal
-    those of running ``run_scheme_b_round`` pair by pair, buckets in
-    creation order, on ``rng``: new buckets and residual tallies enter in
-    the order of the first pair that produces them, and a merged bucket
-    keeps the state of its first contributor.
-    """
-    if count < 2:
-        raise ValueError("the pool needs at least two copies")
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be at least 1")
-    if template.n < 2:
-        raise ValueError("scheme B needs at least two photons per copy")
-    BucketKey = tuple[int, int]  # (settled mask, birth round)
-    buckets: dict[BucketKey, tuple[GhzForm, int]] = {(0, 0): (template, count)}
-    table = _RoundTable(flip_copy)
-    rounds: list[PoolRound] = []
-    distilled = 0
-    pairs_attempted = 0
-    for r in range(1, max_rounds + 1):
-        stats = PoolRound(index=r, attempts=0, successes=0)
-        new_buckets: dict[BucketKey, tuple[GhzForm, int]] = {}
-
-        def _add(key: BucketKey, g: GhzForm, k: int) -> None:
-            if k <= 0:
-                return
-            if key in new_buckets:
-                new_buckets[key] = (new_buckets[key][0], new_buckets[key][1] + k)
-            else:
-                new_buckets[key] = (g, k)
-
-        for (settled, birth), (g, cnt) in buckets.items():
-            # odd leftover carries, stranded in its bucket
-            _add((settled, birth), g, cnt % 2)
-            if cnt < 2:
-                continue
-            stats.attempts += cnt // 2
-            pairs_attempted += cnt // 2
-            odds, residuals = table[g]
-            found, first, counts = np.unique(
-                _bucket_branches(odds, cnt // 2, rng), return_index=True, return_counts=True
-            )
-            for i in np.argsort(first):  # in the order of each branch's first pair
-                branch, k = BranchClass(FAMILIES[found[i]]), int(counts[i])
-                if concentrates(settled, branch):
-                    stats.successes += k
-                    distilled += k
-                else:
-                    stats.residual_counts[branch] = stats.residual_counts.get(branch, 0) + k
-                    _add((settled | settled_by(branch), r), residuals[branch], k)
-        rounds.append(stats)
-        buckets = new_buckets
-    leftover_counts: dict[str, int] = {}
-    for (settled, _), (_, cnt) in buckets.items():
-        if settled == _ALL_SETTLED:  # cannot persist as a residual
-            raise ConsistencyError("a fully settled state survived the pool")
-        label = FAMILIES[settled]
-        leftover_counts[label] = leftover_counts.get(label, 0) + cnt
-    return PoolReport(
-        rounds=rounds,
-        distilled=distilled,
-        leftovers=sum(leftover_counts.values()),
-        leftover_counts=dict(sorted(leftover_counts.items())),
-        pairs_attempted=pairs_attempted,
-    )

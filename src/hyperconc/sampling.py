@@ -1,61 +1,66 @@
-"""Seeded Monte Carlo estimates of the iterated success rate.
+"""The batched route: seeded Monte Carlo estimates of the iterated success
+rate, and the two-copy pool.
 
 Scheme a runs independent traces, trial ``t`` on the substream derived from
 (seed, t); scheme b runs one pool on the master stream of the seed (see
-:func:`~hyperconc.protocol.iterate_scheme_b_pool`), which decides each
-pair's branch from the odds of the two parity checks: each pair's readout
-uniforms are drawn with its row but never simulated.
+:func:`iterate_scheme_b_pool`).  Both decide a round by one rule (see
+:class:`_RoundOdds`): each trial or pair compares its own uniforms with the
+odds of the two parity checks, which alone decide its branch, so readout
+uniforms are drawn but no readout is simulated.  Each call keeps one table
+of odds (see :class:`_RoundTable`), filled the first time the call meets a
+state and read by every later group, bucket, block and round on it.
 
-Traces are simulated breadth first, in blocks of up to ``_TRIAL_BLOCK``
-trials; a block bounds the memory of a call and nothing else.  In each
-round the trials that hold the same working state and settled mask form a
-group.  Both samplers decide a round the same way (see
-:class:`~hyperconc.protocol._RoundOdds`): each trial compares its own
-uniforms with the odds of the two parity checks.  The branch is all a round
-decides, so each trial's readout uniform is drawn but no readout is
-simulated.  Each call keeps one table of odds (see
-:class:`~hyperconc.protocol._RoundTable`): the first time the call meets a
-state, the joint state of it and its resource is built once and its
-polarization check projected once per outcome, and every later group,
-block and round on that state reads the entry.  A block derives all its
+Traces run breadth first, in blocks of up to ``_BLOCK`` trials, and a pool
+bucket's pairs in blocks of up to ``_BLOCK`` pairs; a block bounds the
+memory of a call and nothing else.  In each round the trials that hold the
+same working state and settled mask form a group.  A block derives its
 trials' substreams in one array pass
-(:meth:`~hyperconc.measurement.RandomSource.derive_block`), which draws the
-very doubles of ``RandomSource(seed).derive(t)``, and each group-round draws
-its members' uniforms straight from their substreams, exactly as
-:func:`~hyperconc.protocol.iterate_scheme_a` would.  So the report equals
-that of running the traces one by one and does not depend on the block
-size.  Each call replays its trial 0 through ``iterate_scheme_a``, on
-numpy's own generator, and raises :class:`ConsistencyError` when the two
-disagree.
+(:meth:`~hyperconc.measurement.RandomSource.derive_block`), drawing the very
+doubles of ``RandomSource(seed).derive(t)``, and each group-round draws its
+members' uniforms straight from them.  The pool draws from the master
+stream in the order of ``run_scheme_b_round`` called pair after pair.  So
+the reports equal those of the dense reference drivers in ``protocol``, run
+one trial or pair at a time, whatever the block size.  Each scheme-a call
+replays its trial 0 through ``iterate_scheme_a``, on numpy's own generator,
+and raises :class:`ConsistencyError` when the two disagree.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConsistencyError
-from .measurement import _SPAWN_LIMIT, RandomSource, SubstreamBlock
+from .measurement import (
+    _SPAWN_LIMIT,
+    ParityOutcome,
+    RandomSource,
+    SubstreamBlock,
+    _forced_parity,
+    _parity_post,
+    _parity_probs,
+)
 from .protocol import (
     FAMILIES,
     BranchClass,
     IterationTrace,
-    _RoundOdds,
-    _RoundTable,
     check_scheme,
+    classify_residual,
     concentrates,
     iterate_scheme_a,
-    iterate_scheme_b_pool,
     settled_by,
 )
-from .states import DofAmplitudes, GhzForm, flip_copy
+from .states import Dof, DofAmplitudes, GhzForm, flip_copy, ghz_to_full, tensor
 
-# Scheme-a trials simulated together; bounds the live substreams and the
-# per-trial arrays, and nothing else.
-_TRIAL_BLOCK = 4096
+# Scheme-a trials, or pool pairs, simulated together; bounds the live
+# substreams, the per-trial arrays and the uniforms drawn at once, and
+# nothing else.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -76,21 +81,107 @@ class McReport:
     residual_class_counts: dict[str, int]
 
 
+@dataclass(frozen=True)
+class _RoundOdds:
+    """The odds of a round's two parity checks, which alone decide its branch.
+
+    ``p_pol`` is the polarization check's even probability and
+    ``pol_forced`` its certain outcome, or ``None`` when it draws.  ``spa``
+    maps each outcome the polarization check can take to the spatial
+    check's even probability after it, that check's certain outcome or
+    ``None``, and the uniforms a member with that polarization outcome uses
+    in all.  Both samplers draw them in the order of the dense round: one
+    per unforced check, polarization first, then one per readout.
+    """
+
+    p_pol: float
+    pol_forced: ParityOutcome | None
+    spa: dict[ParityOutcome, tuple[float, ParityOutcome | None, int]]
+
+    @cached_property
+    def width(self) -> int | None:
+        """The uniforms every member uses, or ``None`` when the spatial check
+        is forced after one polarization outcome only: a member's count then
+        follows from its polarization uniform, the first of its row."""
+        widths = {draws for _, _, draws in self.spa.values()}
+        return widths.pop() if len(widths) == 1 else None
+
+    def branches(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's branch as a settled mask (see
+        :func:`~hyperconc.protocol.settled_by`).
+
+        Row r holds a member's uniforms in the order they are drawn.  A
+        readout only sets sign corrections, which change no branch, so its
+        uniform is not read.
+        """
+        pol_draws = int(self.pol_forced is None)
+        if pol_draws:
+            pol_even = rows[:, 0] < self.p_pol
+        else:
+            pol_even = np.full(len(rows), self.pol_forced is ParityOutcome.EVEN)
+        spa_even = np.empty(len(rows), dtype=bool)
+        for outcome, (p_spa, forced, _) in self.spa.items():
+            mine = pol_even == (outcome is ParityOutcome.EVEN)
+            if forced is None:
+                spa_even[mine] = rows[mine, pol_draws] < p_spa
+            else:
+                spa_even[mine] = forced is ParityOutcome.EVEN
+        return 2 * pol_even + spa_even
+
+
+def _round_odds(g: GhzForm, resource: GhzForm) -> _RoundOdds:
+    """The odds of a dense round on ``g`` and ``resource``.
+
+    The joint state is built once, and the polarization check is projected
+    once per outcome it can take, exactly as the dense round projects it.
+    """
+    n = g.n
+    joint = tensor(ghz_to_full(g), ghz_to_full(resource))
+    p_pol, mask = _parity_probs(joint, 0, n, Dof.POLARIZATION)
+    pol_forced = _forced_parity(p_pol)
+    spa = {}
+    for outcome in ParityOutcome if pol_forced is None else (pol_forced,):
+        p_spa = _parity_probs(_parity_post(joint, outcome, p_pol, mask)[1], 0, n, Dof.SPATIAL)[0]
+        forced = _forced_parity(p_spa)
+        draws = int(pol_forced is None) + int(forced is None) + resource.n
+        spa[outcome] = (p_spa, forced, draws)
+    return _RoundOdds(p_pol, pol_forced, spa)
+
+
+class _RoundTable(dict):
+    """The rounds of one sampler call, one entry per distinct state, each
+    filled the first time the call meets its state.
+
+    ``table[g]`` holds the :class:`_RoundOdds` of a round on ``g`` and
+    ``resource(g)``, and the residual form of each failing branch (see
+    :func:`~hyperconc.protocol.classify_residual`).  The resource is a
+    function of ``g``, so ``g`` alone is the key.  A table lives as long as
+    its call: every block, group and bucket round of the call reads it.
+    """
+
+    def __init__(self, resource: Callable[[GhzForm], GhzForm]):
+        super().__init__()
+        self.resource = resource
+
+    def __missing__(self, g: GhzForm) -> tuple[_RoundOdds, dict[BranchClass, GhzForm]]:
+        residuals = {b: classify_residual(b, g) for b in BranchClass if b is not BranchClass.EE}
+        self[g] = entry = (_round_odds(g, self.resource(g)), residuals)
+        return entry
+
+
 def _round_rows(odds: _RoundOdds, streams: SubstreamBlock, members: np.ndarray) -> np.ndarray:
     """Each member's uniforms of one round on ``odds``, one row each (see
-    :meth:`~hyperconc.protocol._RoundOdds.branches`), drawn straight from
-    the member's own stream."""
-    widths = {draws for _, _, draws in odds.spa.values()}
-    if len(widths) == 1:
-        return streams.uniforms(widths.pop(), members)
-    # The spatial check is forced after one polarization outcome only, so a
-    # member's draw count depends on its own polarization draw: draw that
-    # first, then each outcome's remaining uniforms.
-    rows = np.zeros((len(members), max(widths)))
+    :class:`_RoundOdds`), drawn straight from the member's own stream."""
+    if odds.width is not None:
+        return streams.uniforms(odds.width, members)
+    # Each stream is a member's own: draw every polarization uniform, then
+    # the rest of each row.
+    even, odd = odds.spa[ParityOutcome.EVEN][2], odds.spa[ParityOutcome.ODD][2]
+    rows = np.zeros((len(members), max(even, odd)))
     rows[:, :1] = streams.uniforms(1, members)
-    used = odds.branches(rows)[1]
-    for w in widths:
-        rows[used == w, 1:w] = streams.uniforms(w - 1, members[used == w])
+    pol_even = rows[:, 0] < odds.p_pol
+    for draws, mine in ((even, pol_even), (odd, ~pol_even)):
+        rows[mine, 1:draws] = streams.uniforms(draws - 1, members[mine])
     return rows
 
 
@@ -113,7 +204,7 @@ def _trace_block(
         parts: dict[tuple[GhzForm, int], list[np.ndarray]] = defaultdict(list)
         for (g, mask), members in groups.items():
             odds, residuals = table[g]
-            found = odds.branches(_round_rows(odds, streams, members))[0]
+            found = odds.branches(_round_rows(odds, streams, members))
             for value, family in enumerate(FAMILIES):
                 m = members[found == value]
                 if not m.size:
@@ -137,6 +228,141 @@ def _trace_record(trace: IterationTrace) -> tuple[int, str | None]:
     for r in trace.rounds:
         settled |= settled_by(r.branch)
     return 0, FAMILIES[settled]
+
+
+@dataclass
+class PoolRound:
+    """Per-round tally of a pool run."""
+
+    index: int
+    attempts: int
+    successes: int
+    residual_counts: dict[BranchClass, int] = field(default_factory=dict)
+
+
+@dataclass
+class PoolReport:
+    """Outcome of a two-copy pool run.
+
+    ``distilled`` counts maximal states produced; ``leftovers`` counts states
+    that never found a partner (odd bucket populations, or survivors of the
+    final round).  ``leftover_counts`` splits them by residual family, where
+    eo means polarization settled, oe spatial settled, oo neither (fresh
+    never-attempted copies also land under oo).  ``pairs_attempted`` is the
+    total number of rounds run.
+    """
+
+    rounds: list[PoolRound]
+    distilled: int
+    leftovers: int
+    leftover_counts: dict[str, int]
+    pairs_attempted: int
+
+
+def _pair_uniforms(rng: RandomSource, pairs: int, odds: _RoundOdds) -> np.ndarray:
+    """The next ``pairs`` pairs' uniforms from ``rng``, one row per pair (see
+    :class:`_RoundOdds`)."""
+    if odds.width is not None:
+        return rng.uniforms(pairs * odds.width).reshape(pairs, -1)
+    # One stream for all pairs: a pair's offset in it depends on the earlier
+    # pairs' draw counts, so walk the pairs.
+    even, odd = odds.spa[ParityOutcome.EVEN][2], odds.spa[ParityOutcome.ODD][2]
+    rows = np.zeros((pairs, max(even, odd)))
+    for row in rows:
+        row[0] = first = rng.uniform()
+        draws = even if first < odds.p_pol else odd
+        row[1:draws] = rng.uniforms(draws - 1)
+    return rows
+
+
+def _bucket_branches(odds: _RoundOdds, pairs: int, rng: RandomSource) -> np.ndarray:
+    """The branches of ``pairs`` calls of ``run_scheme_b_round(g, g, rng)``
+    in a row, as settled masks (see :func:`~hyperconc.protocol.settled_by`),
+    one per pair; ``odds`` are that round's odds on ``g``.
+
+    ``rng`` is consumed exactly as by the calls one after another: pair by
+    pair, each pair's draws in order, one per unforced parity check and one
+    per diagonal readout.  Each pair's branch is decided from the round's
+    parity odds; the readouts change no branch, so none is simulated.
+    """
+    return np.concatenate([
+        odds.branches(_pair_uniforms(rng, min(_BLOCK, pairs - start), odds))
+        for start in range(0, pairs, _BLOCK)
+    ])
+
+
+def iterate_scheme_b_pool(
+    count: int, template: GhzForm, max_rounds: int, rng: RandomSource
+) -> PoolReport:
+    """Drive a pool of identical copies through two-copy rounds.
+
+    States pair only with states of identical coefficients, so buckets are
+    keyed by (settled mask, round of creation); same-age residuals of the
+    same family merge even when different branches produced them, while an
+    unpaired leftover stays in its bucket and can never mix with the
+    (differently squared) residuals of later rounds.
+
+    The pairs of a bucket are decided together, from the odds of the two
+    parity checks, which alone decide the branch (see
+    :func:`_bucket_branches`); the diagonal readouts change no branch, so
+    they are skipped.  The odds and residuals of each distinct state are
+    computed once per run (see :class:`_RoundTable`).  The results equal
+    those of running ``run_scheme_b_round`` pair by pair, buckets in
+    creation order, on ``rng``: new buckets and residual tallies enter in
+    the order of the first pair that produces them, and a merged bucket
+    keeps the state of its first contributor.
+    """
+    if count < 2:
+        raise ValueError("the pool needs at least two copies")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be at least 1")
+    if template.n < 2:
+        raise ValueError("scheme B needs at least two photons per copy")
+    BucketKey = tuple[int, int]  # (settled mask, birth round)
+    buckets: dict[BucketKey, tuple[GhzForm, int]] = {(0, 0): (template, count)}
+    table = _RoundTable(flip_copy)
+    rounds: list[PoolRound] = []
+    for r in range(1, max_rounds + 1):
+        stats = PoolRound(index=r, attempts=0, successes=0)
+        new_buckets: dict[BucketKey, tuple[GhzForm, int]] = {}
+
+        def _add(key: BucketKey, g: GhzForm, k: int) -> None:
+            if k:  # a merged bucket keeps the state of its first contributor
+                first, total = new_buckets.get(key, (g, 0))
+                new_buckets[key] = (first, total + k)
+
+        for (settled, birth), (g, cnt) in buckets.items():
+            # odd leftover carries, stranded in its bucket
+            _add((settled, birth), g, cnt % 2)
+            if cnt < 2:
+                continue
+            stats.attempts += cnt // 2
+            odds, residuals = table[g]
+            found, first, counts = np.unique(
+                _bucket_branches(odds, cnt // 2, rng), return_index=True, return_counts=True
+            )
+            for i in np.argsort(first):  # in the order of each branch's first pair
+                branch, k = BranchClass(FAMILIES[found[i]]), int(counts[i])
+                if concentrates(settled, branch):
+                    stats.successes += k
+                else:
+                    stats.residual_counts[branch] = stats.residual_counts.get(branch, 0) + k
+                    _add((settled | settled_by(branch), r), residuals[branch], k)
+        rounds.append(stats)
+        buckets = new_buckets
+    leftover_counts: dict[str, int] = {}
+    for (settled, _), (_, cnt) in buckets.items():
+        if settled == settled_by(BranchClass.EE):  # cannot persist as a residual
+            raise ConsistencyError("a fully settled state survived the pool")
+        label = FAMILIES[settled]
+        leftover_counts[label] = leftover_counts.get(label, 0) + cnt
+    return PoolReport(
+        rounds=rounds,
+        distilled=sum(stats.successes for stats in rounds),
+        leftovers=sum(leftover_counts.values()),
+        leftover_counts=dict(sorted(leftover_counts.items())),
+        pairs_attempted=sum(stats.attempts for stats in rounds),
+    )
 
 
 def mc_estimate(
@@ -173,8 +399,8 @@ def mc_estimate(
     if scheme == "a":
         replay = _trace_record(iterate_scheme_a(template, max_rounds, master.derive(0)))
         table = _RoundTable(lambda g: flip_copy(GhzForm(1, g.pol, g.spa)))
-        for start in range(0, trials, _TRIAL_BLOCK):
-            count = min(_TRIAL_BLOCK, trials - start)
+        for start in range(0, trials, _BLOCK):
+            count = min(_BLOCK, trials - start)
             streams = master.derive_block(start, count)
             success, settled = _trace_block(template, max_rounds, streams, count, table)
             if start == 0:

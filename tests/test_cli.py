@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperconc import BranchClass, IterationTrace, analytics, cli, oracle, protocol, sampling
+from hyperconc import BranchClass, IterationTrace, analytics, cli, oracle, sampling
 
 GOLDEN = Path(__file__).parent / "data" / "grid_r1_res3.csv"
 VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_seed5.txt"
@@ -329,7 +329,7 @@ class TestConsistencyErrors:
 
     def test_settled_state_survives_pool(self, monkeypatch, capsys):
         # A rule that forgets settled degrees of freedom lets eo meet oe.
-        monkeypatch.setattr(protocol, "concentrates",
+        monkeypatch.setattr(sampling, "concentrates",
                             lambda settled, branch: branch is BranchClass.EE)
         code, err = self.run(self.SIMULATE_B, capsys)
         assert code == 2 and "fully settled state survived" in err

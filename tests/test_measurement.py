@@ -18,8 +18,8 @@ from hyperconc import (
     parity_measure,
     tensor,
 )
-from hyperconc.measurement import DIAGONAL_OUTCOMES, diagonal_components
-from hyperconc.states import flip_copy, maximal_ghz
+from hyperconc.measurement import DIAGONAL_OUTCOMES, _even_mask, diagonal_components
+from hyperconc.states import _bit_mask, flip_copy, maximal_ghz
 
 
 def joint_state(alpha_sq=0.8, delta_sq=0.6, n=2):
@@ -81,6 +81,23 @@ class TestParity:
         outcome, post = parity_measure(joint, 0, 2, Dof.POLARIZATION, RandomSource(5))
         _, want = parity_branch(joint, 0, 2, Dof.POLARIZATION, outcome)
         assert np.allclose(post.amplitudes, want.amplitudes)
+
+
+class TestEvenMask:
+    """The parity checks' mask of equal bits, built from the index bits."""
+
+    def test_equals_the_per_bit_masks(self):
+        for n in range(1, 7):
+            for si in range(2 * n):
+                for sj in range(2 * n):
+                    want = _bit_mask(n, si) == _bit_mask(n, sj)
+                    assert np.array_equal(_even_mask(n, si, sj), want), (n, si, sj)
+
+    def test_caches_no_per_bit_mask(self):
+        # the per-bit cache holds only the masks the sign corrections use
+        _bit_mask.cache_clear()
+        _even_mask.__wrapped__(6, 0, 11)
+        assert _bit_mask.cache_info().currsize == 0
 
 
 class TestDiagonal:

@@ -8,6 +8,7 @@ it, and on random configurations the batched reports equal aggregates built
 here from the single-trace reference path.
 """
 
+import ast
 import math
 import time
 from pathlib import Path
@@ -261,8 +262,7 @@ class TestBatchedEqualsReference:
             mc_estimate("a", 2, 0.5, 0.5, 1, 2**32 + 1)
 
     def test_across_blocks(self, monkeypatch):
-        monkeypatch.setattr(sampling, "_TRIAL_BLOCK", 7)
-        monkeypatch.setattr(protocol, "_PAIR_BLOCK", 3)
+        monkeypatch.setattr(sampling, "_BLOCK", 3)
         for scheme in ("a", "b"):
             got = mc_estimate(scheme, 2, 0.7, 0.4, 3, 45, 11)
             assert got == reference_estimate(scheme, 2, 0.7, 0.4, 3, 45, 11)
@@ -296,6 +296,19 @@ class TestBatchedEqualsReference:
                 "a", n, a, d, 3, 61, seed
             )
 
+    @pytest.mark.parametrize("a, n, d", [(0.7, 2, 0.7), (0.3, 2, 5.0000000000000244e-15),
+                                         (0.5, 3, 5.0000000000000205e-15)])
+    def test_pool_leaves_the_master_stream_where_the_pairs_end(self, a, n, d):
+        """The pool consumes the master stream exactly as its pairs' rounds
+        one after another, the last bucket round's readouts included, also
+        where a pair's draw count depends on its polarization outcome."""
+        g = ghz(n, a, d)
+        for seed in (0, 1, 2):
+            got, want = RandomSource(seed), RandomSource(seed)
+            iterate_scheme_b_pool(61, g, 3, got)
+            sequential_pool(61, g, 3, want)
+            assert got.uniform() == want.uniform(), seed
+
 
 @pytest.mark.parametrize("n", [2, 4], ids=["a-2", "a-4"])
 def test_batched_round_matches_dense_rounds(n):
@@ -307,8 +320,8 @@ def test_batched_round_matches_dense_rounds(n):
     master = RandomSource(n)
     streams = master.derive_block(0, trials)
     members = np.arange(trials)
-    odds = protocol._round_odds(g, flip_copy(GhzForm(1, g.pol, g.spa)))
-    found = odds.branches(sampling._round_rows(odds, streams, members))[0]
+    odds = sampling._round_odds(g, flip_copy(GhzForm(1, g.pol, g.spa)))
+    found = odds.branches(sampling._round_rows(odds, streams, members))
     branches = {BranchClass(f): members[found == v] for v, f in enumerate(FAMILIES)}
     assert np.array_equal(np.sort(np.concatenate(list(branches.values()))), members)
     assert len(branches[BranchClass.EE]) > 0
@@ -332,7 +345,7 @@ def test_block_leaves_each_stream_where_its_trace_ends(a, d):
     trials, rounds = 200, 12
     master = RandomSource(4)
     streams = master.derive_block(0, trials)
-    table = protocol._RoundTable(lambda s: flip_copy(GhzForm(1, s.pol, s.spa)))
+    table = sampling._RoundTable(lambda s: flip_copy(GhzForm(1, s.pol, s.spa)))
     sampling._trace_block(g, rounds, streams, trials, table)
     after = streams.uniforms(1)[:, 0]
     for t in range(trials):
@@ -343,15 +356,15 @@ def test_block_leaves_each_stream_where_its_trace_ends(a, d):
 
 @pytest.fixture
 def odds_states(monkeypatch):
-    """The states ``protocol._round_odds`` builds a round on, in call order."""
+    """The states ``sampling._round_odds`` builds a round on, in call order."""
     seen = []
-    original = protocol._round_odds
+    original = sampling._round_odds
 
     def recording(g, resource):
         seen.append(g)
         return original(g, resource)
 
-    monkeypatch.setattr(protocol, "_round_odds", recording)
+    monkeypatch.setattr(sampling, "_round_odds", recording)
     return seen
 
 
@@ -370,21 +383,21 @@ class TestRoundTable:
         assert len(whole) > 1
         assert len(set(whole)) == len(whole)
         odds_states.clear()
-        monkeypatch.setattr(sampling, "_TRIAL_BLOCK", 7)
+        monkeypatch.setattr(sampling, "_BLOCK", 7)
         mc_estimate(*args)
         assert len(odds_states) == len(whole)
         assert set(odds_states) == set(whole)
 
     def test_pool_fills_a_shared_state_once(self, odds_states, monkeypatch):
         bucket_rounds = 0
-        original = protocol._bucket_branches
+        original = sampling._bucket_branches
 
         def counting(*args):
             nonlocal bucket_rounds
             bucket_rounds += 1
             return original(*args)
 
-        monkeypatch.setattr(protocol, "_bucket_branches", counting)
+        monkeypatch.setattr(sampling, "_bucket_branches", counting)
         mc_estimate("b", 2, 0.5, 0.5, 5, 400, 3)
         assert bucket_rounds > 1
         assert len(odds_states) == 1
@@ -405,6 +418,29 @@ def test_oracle_is_independent_of_the_samplers():
     for name in ("iterate_scheme_a", "iterate_scheme_b_pool", "mc_estimate",
                  "concentrates", "settled_by", "FAMILIES"):
         assert name not in names, name
+
+
+def test_protocol_is_the_dense_reference():
+    """``protocol`` holds the dense rounds the samplers are checked against,
+    and none of the batched code: it defines no batched name, imports no
+    sampler and takes only public names from ``measurement``."""
+    names = vars(protocol)
+    for name in ("_RoundOdds", "_round_odds", "_RoundTable", "_pair_uniforms",
+                 "_bucket_branches", "PoolRound", "PoolReport", "iterate_scheme_b_pool"):
+        assert name not in names, name
+    tree = ast.parse(Path(protocol.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            if (node.module or "").split(".")[-1] == "measurement":
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert private == [], private
+        else:
+            continue
+        for module in modules:
+            assert "sampling" not in module.split("."), module
 
 
 def test_pool_reads_out_no_photon(monkeypatch):
@@ -460,10 +496,12 @@ def test_pool_projects_each_outcome_once(monkeypatch, args):
 
         return wrapper
 
-    monkeypatch.setattr(protocol, "tensor", counting("tensor", protocol.tensor))
+    # the samplers' table fills, and the trial-0 replay's dense rounds
+    for module in (sampling, protocol):
+        monkeypatch.setattr(module, "tensor", counting("tensor", module.tensor))
     post = counting("_parity_post", measurement._parity_post)
-    for module in (measurement, protocol):
-        monkeypatch.setattr(module, "_parity_post", post, raising=False)
+    for module in (sampling, measurement):
+        monkeypatch.setattr(module, "_parity_post", post)
     mc_estimate(*args)
     assert counts["tensor"] > 0  # one joint state per distinct state
     assert counts["_parity_post"] <= 2 * counts["tensor"]
