@@ -90,36 +90,34 @@ def _photon0_bits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _parity_branches(
     joint: FullState, n: int, n_resource: int
-) -> tuple[list, list[tuple[tuple[str, str], BranchClass, float]], np.ndarray, np.ndarray]:
+) -> tuple[float, list[tuple[tuple[str, str], BranchClass, float]], np.ndarray, np.ndarray]:
     """Both parity checks of a round, each branch compressed to its live rows.
 
     A working row is live when any bit of its amplitudes is set.  Returns
-    the dropped masses in walk order (a surviving branch appears as its
-    index, standing for the readout mass it will drop), one (label prefix,
-    class, probability) entry per surviving branch, the live rows of each
+    the mass of the pruned parity branches, one (label prefix, class,
+    probability) entry per surviving branch, the live rows of each
     branch padded with all-+0 rows to a common count, shape (branches,
     width, 4**n_resource), and their working-row indices (-1 for padding).
     Each post-check vector is released once compressed, so at most one
     dense vector per parity level is alive.
     """
-    drops: list = []
+    dropped = 0.0
     branches = []
     compressed = []
     for pol_out in ParityOutcome:
         p_pol, after_pol = parity_branch(joint, 0, n, Dof.POLARIZATION, pol_out)
         if after_pol is None:
-            drops.append(p_pol)
+            dropped += p_pol
             continue
         for spa_out in ParityOutcome:
             p_spa, after_spa = parity_branch(after_pol, 0, n, Dof.SPATIAL, spa_out)
             if after_spa is None:
-                drops.append(p_pol * p_spa)
+                dropped += p_pol * p_spa
                 continue
             amps = after_spa.amplitudes.reshape(4**n, 4**n_resource)
             rows = np.flatnonzero(amps.view(np.uint64).any(axis=1))
             compressed.append((rows, amps[rows]))
             del amps, after_spa
-            drops.append(len(branches))
             prefix = (f"pol_{pol_out.value}", f"spa_{spa_out.value}")
             branches.append((prefix, BranchClass.from_parities(pol_out, spa_out), p_pol * p_spa))
         del after_pol
@@ -129,7 +127,7 @@ def _parity_branches(
     for b, (rows, block) in enumerate(compressed):
         live[b, : rows.size] = block
         live_rows[b, : rows.size] = rows
-    return drops, branches, live, live_rows
+    return dropped, branches, live, live_rows
 
 
 @dataclass(frozen=True)
@@ -225,7 +223,7 @@ def enumerate_scheme(scheme: str, n: int, alpha_sq: float, delta_sq: float) -> O
     # The working and resource states are products of GHZ pairs, and the two
     # parity projections are diagonal, so each surviving branch holds
     # amplitude on at most four of the 4**n working rows.
-    drops, branches, live, live_rows = _parity_branches(
+    dropped, branches, live, live_rows = _parity_branches(
         FullState._adopt(n + n_resource, np.kron(working.amplitudes, resource.amplitudes)),
         n,
         n_resource,
@@ -276,10 +274,7 @@ def enumerate_scheme(scheme: str, n: int, alpha_sq: float, delta_sq: float) -> O
 
     weights = np.array([prob for *_, prob in branches])[:, None] * probs
     kept = weights > MIN_BRANCH_PROBABILITY
-    readout_drops = [float(np.sum(w[~k])) for w, k in zip(weights, kept)]
-    dropped = 0.0
-    for term in drops:
-        dropped += readout_drops[term] if isinstance(term, int) else term
+    dropped += float(np.sum(weights[~kept]))
 
     # Leaf states: divide the compressed rows, then gather them into dense
     # rows, each row without amplitude from its correction class's row.

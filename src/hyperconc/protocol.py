@@ -137,16 +137,21 @@ def _dense_round(g: GhzForm, resource: GhzForm, rng: RandomSource) -> RoundResul
     return _finish_round(joint, pol_out, spa_out, tuple(outcomes))
 
 
+def ancilla(g: GhzForm) -> GhzForm:
+    """Scheme a's resource for the working state ``g``: its flipped one-photon copy."""
+    return flip_copy(GhzForm(1, g.pol, g.spa))
+
+
 def run_scheme_a_round(state: GhzForm, rng: RandomSource) -> RoundResult:
     """One ancilla-assisted round.
 
-    The ancilla is the flipped one-photon copy of the working state.  The
-    working state keeps all n photons; the ancilla is checked against
-    photon 0 in both degrees of freedom and then read out diagonally.
+    The working state keeps all n photons; its :func:`ancilla` is checked
+    against photon 0 in both degrees of freedom and then read out
+    diagonally.
     """
     if state.n < 2:
         raise ValueError("scheme A needs at least two photons in the working state")
-    return _dense_round(state, flip_copy(GhzForm(1, state.pol, state.spa)), rng)
+    return _dense_round(state, ancilla(state), rng)
 
 
 def run_scheme_b_round(copy1: GhzForm, copy2: GhzForm, rng: RandomSource) -> RoundResult:

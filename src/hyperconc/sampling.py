@@ -49,6 +49,7 @@ from .protocol import (
     FAMILIES,
     BranchClass,
     IterationTrace,
+    ancilla,
     check_scheme,
     classify_residual,
     concentrates,
@@ -259,36 +260,32 @@ class PoolReport:
     pairs_attempted: int
 
 
-def _pair_uniforms(rng: RandomSource, pairs: int, odds: _RoundOdds) -> np.ndarray:
-    """The next ``pairs`` pairs' uniforms from ``rng``, one row per pair (see
-    :class:`_RoundOdds`)."""
-    if odds.width is not None:
-        return rng.uniforms(pairs * odds.width).reshape(pairs, -1)
-    # One stream for all pairs: a pair's offset in it depends on the earlier
-    # pairs' draw counts, so walk the pairs.
-    even, odd = odds.spa[ParityOutcome.EVEN][2], odds.spa[ParityOutcome.ODD][2]
-    rows = np.zeros((pairs, max(even, odd)))
-    for row in rows:
-        row[0] = first = rng.uniform()
-        draws = even if first < odds.p_pol else odd
-        row[1:draws] = rng.uniforms(draws - 1)
-    return rows
-
-
 def _bucket_branches(odds: _RoundOdds, pairs: int, rng: RandomSource) -> np.ndarray:
     """The branches of ``pairs`` calls of ``run_scheme_b_round(g, g, rng)``
     in a row, as settled masks (see :func:`~hyperconc.protocol.settled_by`),
     one per pair; ``odds`` are that round's odds on ``g``.
 
     ``rng`` is consumed exactly as by the calls one after another: pair by
-    pair, each pair's draws in order, one per unforced parity check and one
-    per diagonal readout.  Each pair's branch is decided from the round's
-    parity odds; the readouts change no branch, so none is simulated.
+    pair, each pair's uniforms in the order of :class:`_RoundOdds`, drawn in
+    blocks of up to ``_BLOCK`` pairs.  Each pair's branch is decided from the
+    round's parity odds; the readouts change no branch, so none is simulated.
     """
-    return np.concatenate([
-        odds.branches(_pair_uniforms(rng, min(_BLOCK, pairs - start), odds))
-        for start in range(0, pairs, _BLOCK)
-    ])
+    found = []
+    for start in range(0, pairs, _BLOCK):
+        block = min(_BLOCK, pairs - start)
+        if odds.width is not None:
+            rows = rng.uniforms(block * odds.width).reshape(block, -1)
+        else:
+            # One stream for all pairs: a pair's offset in it depends on the
+            # earlier pairs' draw counts, so walk the pairs.
+            even, odd = odds.spa[ParityOutcome.EVEN][2], odds.spa[ParityOutcome.ODD][2]
+            rows = np.zeros((block, max(even, odd)))
+            for row in rows:
+                row[0] = first = rng.uniform()
+                draws = even if first < odds.p_pol else odd
+                row[1:draws] = rng.uniforms(draws - 1)
+        found.append(odds.branches(rows))
+    return np.concatenate(found)
 
 
 def iterate_scheme_b_pool(
@@ -296,11 +293,13 @@ def iterate_scheme_b_pool(
 ) -> PoolReport:
     """Drive a pool of identical copies through two-copy rounds.
 
-    States pair only with states of identical coefficients, so buckets are
-    keyed by (settled mask, round of creation); same-age residuals of the
-    same family merge even when different branches produced them, while an
-    unpaired leftover stays in its bucket and can never mix with the
-    (differently squared) residuals of later rounds.
+    States pair only with states of identical coefficients.  Every bucket
+    that pairs in a round was made in the round before, so a round's buckets
+    are keyed by settled mask alone: one per residual family, merging that
+    round's residuals of the family whatever branch produced them.  A
+    bucket's odd copy can never pair with the (differently squared)
+    residuals of later rounds, so it counts as a leftover of its family in
+    the round it strands.
 
     The pairs of a bucket are decided together, from the odds of the two
     parity checks, which alone decide the branch (see
@@ -318,22 +317,15 @@ def iterate_scheme_b_pool(
         raise ValueError("max_rounds must be at least 1")
     if template.n < 2:
         raise ValueError("scheme B needs at least two photons per copy")
-    BucketKey = tuple[int, int]  # (settled mask, birth round)
-    buckets: dict[BucketKey, tuple[GhzForm, int]] = {(0, 0): (template, count)}
+    buckets: dict[int, tuple[GhzForm, int]] = {0: (template, count)}
+    leftover = [0] * len(FAMILIES)  # per settled mask
     table = _RoundTable(flip_copy)
     rounds: list[PoolRound] = []
     for r in range(1, max_rounds + 1):
         stats = PoolRound(index=r, attempts=0, successes=0)
-        new_buckets: dict[BucketKey, tuple[GhzForm, int]] = {}
-
-        def _add(key: BucketKey, g: GhzForm, k: int) -> None:
-            if k:  # a merged bucket keeps the state of its first contributor
-                first, total = new_buckets.get(key, (g, 0))
-                new_buckets[key] = (first, total + k)
-
-        for (settled, birth), (g, cnt) in buckets.items():
-            # odd leftover carries, stranded in its bucket
-            _add((settled, birth), g, cnt % 2)
+        new_buckets: dict[int, tuple[GhzForm, int]] = {}
+        for settled, (g, cnt) in buckets.items():
+            leftover[settled] += cnt % 2
             if cnt < 2:
                 continue
             stats.attempts += cnt // 2
@@ -347,19 +339,21 @@ def iterate_scheme_b_pool(
                     stats.successes += k
                 else:
                     stats.residual_counts[branch] = stats.residual_counts.get(branch, 0) + k
-                    _add((settled | settled_by(branch), r), residuals[branch], k)
+                    # a merged bucket keeps the state of its first contributor
+                    key = settled | settled_by(branch)
+                    kept, total = new_buckets.get(key, (residuals[branch], 0))
+                    new_buckets[key] = (kept, total + k)
         rounds.append(stats)
         buckets = new_buckets
-    leftover_counts: dict[str, int] = {}
-    for (settled, _), (_, cnt) in buckets.items():
-        if settled == settled_by(BranchClass.EE):  # cannot persist as a residual
-            raise ConsistencyError("a fully settled state survived the pool")
-        label = FAMILIES[settled]
-        leftover_counts[label] = leftover_counts.get(label, 0) + cnt
+    for settled, (_, cnt) in buckets.items():
+        leftover[settled] += cnt
+    if leftover[settled_by(BranchClass.EE)]:  # cannot persist as a residual
+        raise ConsistencyError("a fully settled state survived the pool")
+    leftover_counts = {FAMILIES[s]: left for s, left in enumerate(leftover) if left}
     return PoolReport(
         rounds=rounds,
         distilled=sum(stats.successes for stats in rounds),
-        leftovers=sum(leftover_counts.values()),
+        leftovers=sum(leftover),
         leftover_counts=dict(sorted(leftover_counts.items())),
         pairs_attempted=sum(stats.attempts for stats in rounds),
     )
@@ -398,7 +392,7 @@ def mc_estimate(
     residual_counts: dict[str, int] = {}
     if scheme == "a":
         replay = _trace_record(iterate_scheme_a(template, max_rounds, master.derive(0)))
-        table = _RoundTable(lambda g: flip_copy(GhzForm(1, g.pol, g.spa)))
+        table = _RoundTable(ancilla)
         for start in range(0, trials, _BLOCK):
             count = min(_BLOCK, trials - start)
             streams = master.derive_block(start, count)

@@ -69,7 +69,7 @@ class DofAmplitudes:
         f = complex(self.first)
         s = complex(self.second)
         norm_sq = abs(f) ** 2 + abs(s) ** 2
-        if abs(norm_sq - 1.0) > NORM_INPUT_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_INPUT_TOL:  # NaN fails too
             raise ValueError(f"amplitude pair not normalized: |first|^2+|second|^2 = {norm_sq}")
         scale = 1.0 / math.sqrt(norm_sq)
         object.__setattr__(self, "first", f * scale)
@@ -191,9 +191,11 @@ class FullState:
 
 def _unit_norm(amps: np.ndarray) -> np.ndarray:
     """The one norm rule of dense states: ``amps`` itself when its norm is
-    within ``_RENORM_TOL`` of 1, else a renormalized copy; a (near-)zero
-    norm raises ``ValueError``."""
+    within ``_RENORM_TOL`` of 1, else a renormalized copy; a non-finite or
+    (near-)zero norm raises ``ValueError``."""
     norm = float(np.linalg.norm(amps))
+    if not math.isfinite(norm):
+        raise ValueError(f"state vector has non-finite norm {norm}")
     if norm < 1e-12:
         raise ValueError("state vector has (near-)zero norm")
     return amps / norm if abs(norm - 1.0) > _RENORM_TOL else amps

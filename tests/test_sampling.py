@@ -241,6 +241,7 @@ class TestBatchedEqualsReference:
     @given(a=unit, d=unit, k=st.integers(1, 4), count=st.integers(2, 80), seed=seeds)
     @settings(max_examples=20, deadline=None)
     @example(a=0.7, d=0.7, k=50, count=3, seed=0)  # one pair, then 49 rounds with none
+    @example(a=0.7, d=0.6, k=12, count=1001, seed=4)  # strays in all three families
     def test_pool_report(self, a, d, k, count, seed):
         """Every field, including per-round tallies in insertion order."""
         template = ghz(2, a, d)
@@ -286,7 +287,7 @@ class TestBatchedEqualsReference:
 
         assert sorted(forced_after(flip_copy(g))) == [False, True]
         # scheme a: forced after odd at (0.3, n=2), after even at (0.5, n=3)
-        assert forced_after(flip_copy(GhzForm(1, g.pol, g.spa))) == (
+        assert forced_after(protocol.ancilla(g)) == (
             [False, True] if a == 0.3 else [True, False]
         )
         for seed in (0, 1, 2):
@@ -320,7 +321,7 @@ def test_batched_round_matches_dense_rounds(n):
     master = RandomSource(n)
     streams = master.derive_block(0, trials)
     members = np.arange(trials)
-    odds = sampling._round_odds(g, flip_copy(GhzForm(1, g.pol, g.spa)))
+    odds = sampling._round_odds(g, protocol.ancilla(g))
     found = odds.branches(sampling._round_rows(odds, streams, members))
     branches = {BranchClass(f): members[found == v] for v, f in enumerate(FAMILIES)}
     assert np.array_equal(np.sort(np.concatenate(list(branches.values()))), members)
@@ -345,7 +346,7 @@ def test_block_leaves_each_stream_where_its_trace_ends(a, d):
     trials, rounds = 200, 12
     master = RandomSource(4)
     streams = master.derive_block(0, trials)
-    table = sampling._RoundTable(lambda s: flip_copy(GhzForm(1, s.pol, s.spa)))
+    table = sampling._RoundTable(protocol.ancilla)
     sampling._trace_block(g, rounds, streams, trials, table)
     after = streams.uniforms(1)[:, 0]
     for t in range(trials):

@@ -102,6 +102,23 @@ class TestFullState:
             FullState(PHOTON_CAP + 1, np.zeros(4 ** (PHOTON_CAP + 1), dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FullState(1, [math.nan, 0, 0, 0]), "non-finite norm"),
+        (lambda: FullState(1, [math.inf, 0, 0, 0]), "non-finite norm"),
+        (lambda: FullState._from_rows(1, np.array([[math.nan, 0, 0, 0]])), "non-finite norm"),
+        (lambda: DofAmplitudes(math.nan, 1.0), "not normalized"),
+    ],
+    ids=["nan", "inf", "nan row", "nan pair"],
+)
+def test_non_finite_norm_rejected(build, message):
+    """Every comparison with a NaN norm is false, so each norm check is
+    written to reject it; an infinite norm raises before any division."""
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestAdopt:
     """``FullState._adopt`` takes a fresh vector under ``FullState``'s norm rule."""
 
