@@ -229,14 +229,15 @@ def _parity_probs(state: FullState, i: int, j: int, dof: Dof) -> tuple[float, np
     return p_even, mask
 
 
-def _forced_parity(p_even: float) -> ParityOutcome | None:
-    # An outcome whose rival is below MIN_BRANCH_PROBABILITY is certain and
-    # consumes no random draw.
+def _certain_odds(p_even: float) -> float:
+    """The odds a check is sampled with: ``p_even``, or exactly 0 or 1 when
+    the rival outcome is below ``MIN_BRANCH_PROBABILITY``.  A check at odds
+    0 or 1 is certain and consumes no random draw."""
     if p_even < MIN_BRANCH_PROBABILITY:
-        return ParityOutcome.ODD
+        return 0.0
     if 1.0 - p_even < MIN_BRANCH_PROBABILITY:
-        return ParityOutcome.EVEN
-    return None
+        return 1.0
+    return p_even
 
 
 def _parity_post(
@@ -245,8 +246,10 @@ def _parity_post(
     """The one parity projection: (probability, renormalized post state)."""
     if outcome is ParityOutcome.EVEN:
         prob, keep = p_even, mask
-    else:
+    elif outcome is ParityOutcome.ODD:
         prob, keep = 1.0 - p_even, ~mask
+    else:
+        raise ValueError(f"parity outcome must be a ParityOutcome, got {outcome!r}")
     if prob < MIN_BRANCH_PROBABILITY:
         return max(prob, 0.0), None
     amps = np.where(keep, state.amplitudes, 0.0)
@@ -272,9 +275,10 @@ def parity_measure(
 ) -> tuple[ParityOutcome, FullState]:
     """Sample a parity outcome and return it with the projected state."""
     p_even, mask = _parity_probs(state, i, j, dof)
-    outcome = _forced_parity(p_even)
-    if outcome is None:
-        outcome = ParityOutcome.EVEN if rng.uniform() < p_even else ParityOutcome.ODD
+    odds = _certain_odds(p_even)
+    # A certain check reads every number in [0, 1) alike, so it draws none.
+    draw = rng.uniform() if 0.0 < odds < 1.0 else 0.0
+    outcome = ParityOutcome.EVEN if draw < odds else ParityOutcome.ODD
     return outcome, _parity_post(state, outcome, p_even, mask)[1]
 
 

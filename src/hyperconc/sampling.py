@@ -31,7 +31,6 @@ import math
 from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .measurement import (
     ParityOutcome,
     RandomSource,
     SubstreamBlock,
-    _forced_parity,
+    _certain_odds,
     _parity_post,
     _parity_probs,
 )
@@ -86,47 +85,33 @@ class McReport:
 class _RoundOdds:
     """The odds of a round's two parity checks, which alone decide its branch.
 
-    ``p_pol`` is the polarization check's even probability and
-    ``pol_forced`` its certain outcome, or ``None`` when it draws.  ``spa``
-    maps each outcome the polarization check can take to the spatial
-    check's even probability after it, that check's certain outcome or
-    ``None``, and the uniforms a member with that polarization outcome uses
-    in all.  Both samplers draw them in the order of the dense round: one
-    per unforced check, polarization first, then one per readout.
+    ``p_pol`` is the polarization check's even odds, and ``p_spa[e]`` the
+    spatial check's after polarization outcome ``e`` (1 even, 0 odd); a
+    certain check has odds exactly 0 or 1 (see
+    :func:`~hyperconc.measurement._certain_odds`), and after a certain
+    polarization check both entries are those of its outcome.  ``draws[e]``
+    counts the uniforms a member with polarization outcome ``e`` uses.  Both
+    samplers draw them in the order of the dense round: one per check with
+    odds strictly between 0 and 1, polarization first, then one per readout.
     """
 
     p_pol: float
-    pol_forced: ParityOutcome | None
-    spa: dict[ParityOutcome, tuple[float, ParityOutcome | None, int]]
-
-    @cached_property
-    def width(self) -> int | None:
-        """The uniforms every member uses, or ``None`` when the spatial check
-        is forced after one polarization outcome only: a member's count then
-        follows from its polarization uniform, the first of its row."""
-        widths = {draws for _, _, draws in self.spa.values()}
-        return widths.pop() if len(widths) == 1 else None
+    p_spa: tuple[float, float]
+    draws: tuple[int, int]
 
     def branches(self, rows: np.ndarray) -> np.ndarray:
         """Each row's branch as a settled mask (see
         :func:`~hyperconc.protocol.settled_by`).
 
-        Row r holds a member's uniforms in the order they are drawn.  A
+        Row r holds a member's uniforms in the order they are drawn, at
+        least one readout's among them.  A certain check compares its 0 or 1
+        with whatever uniform sits in its column and gets its outcome.  A
         readout only sets sign corrections, which change no branch, so its
-        uniform is not read.
+        uniform is not read for itself.
         """
-        pol_draws = int(self.pol_forced is None)
-        if pol_draws:
-            pol_even = rows[:, 0] < self.p_pol
-        else:
-            pol_even = np.full(len(rows), self.pol_forced is ParityOutcome.EVEN)
-        spa_even = np.empty(len(rows), dtype=bool)
-        for outcome, (p_spa, forced, _) in self.spa.items():
-            mine = pol_even == (outcome is ParityOutcome.EVEN)
-            if forced is None:
-                spa_even[mine] = rows[mine, pol_draws] < p_spa
-            else:
-                spa_even[mine] = forced is ParityOutcome.EVEN
+        pol_even = rows[:, 0] < self.p_pol
+        spa_column = rows[:, int(0.0 < self.p_pol < 1.0)]
+        spa_even = spa_column < np.where(pol_even, self.p_spa[1], self.p_spa[0])
         return 2 * pol_even + spa_even
 
 
@@ -138,15 +123,16 @@ def _round_odds(g: GhzForm, resource: GhzForm) -> _RoundOdds:
     """
     n = g.n
     joint = tensor(ghz_to_full(g), ghz_to_full(resource))
-    p_pol, mask = _parity_probs(joint, 0, n, Dof.POLARIZATION)
-    pol_forced = _forced_parity(p_pol)
-    spa = {}
-    for outcome in ParityOutcome if pol_forced is None else (pol_forced,):
-        p_spa = _parity_probs(_parity_post(joint, outcome, p_pol, mask)[1], 0, n, Dof.SPATIAL)[0]
-        forced = _forced_parity(p_spa)
-        draws = int(pol_forced is None) + int(forced is None) + resource.n
-        spa[outcome] = (p_spa, forced, draws)
-    return _RoundOdds(p_pol, pol_forced, spa)
+    p_even, mask = _parity_probs(joint, 0, n, Dof.POLARIZATION)
+    p_pol = _certain_odds(p_even)
+    pol_draws = int(0.0 < p_pol < 1.0)
+    p_spa, draws = [], []
+    for e in (0, 1) if pol_draws else (int(p_pol),):
+        outcome = ParityOutcome.EVEN if e else ParityOutcome.ODD
+        post = _parity_post(joint, outcome, p_even, mask)[1]
+        p_spa.append(_certain_odds(_parity_probs(post, 0, n, Dof.SPATIAL)[0]))
+        draws.append(pol_draws + (0.0 < p_spa[-1] < 1.0) + resource.n)
+    return _RoundOdds(p_pol, (p_spa[0], p_spa[-1]), (draws[0], draws[-1]))
 
 
 class _RoundTable(dict):
@@ -173,12 +159,13 @@ class _RoundTable(dict):
 def _round_rows(odds: _RoundOdds, streams: SubstreamBlock, members: np.ndarray) -> np.ndarray:
     """Each member's uniforms of one round on ``odds``, one row each (see
     :class:`_RoundOdds`), drawn straight from the member's own stream."""
-    if odds.width is not None:
-        return streams.uniforms(odds.width, members)
-    # Each stream is a member's own: draw every polarization uniform, then
-    # the rest of each row.
-    even, odd = odds.spa[ParityOutcome.EVEN][2], odds.spa[ParityOutcome.ODD][2]
-    rows = np.zeros((len(members), max(even, odd)))
+    odd, even = odds.draws
+    if odd == even:
+        return streams.uniforms(odd, members)
+    # The counts differ only after an uncertain polarization check.  Each
+    # stream is a member's own: draw every polarization uniform, then the
+    # rest of each row.
+    rows = np.zeros((len(members), max(odd, even)))
     rows[:, :1] = streams.uniforms(1, members)
     pol_even = rows[:, 0] < odds.p_pol
     for draws, mine in ((even, pol_even), (odd, ~pol_even)):
@@ -270,16 +257,16 @@ def _bucket_branches(odds: _RoundOdds, pairs: int, rng: RandomSource) -> np.ndar
     blocks of up to ``_BLOCK`` pairs.  Each pair's branch is decided from the
     round's parity odds; the readouts change no branch, so none is simulated.
     """
+    odd, even = odds.draws
     found = []
     for start in range(0, pairs, _BLOCK):
         block = min(_BLOCK, pairs - start)
-        if odds.width is not None:
-            rows = rng.uniforms(block * odds.width).reshape(block, -1)
+        if odd == even:
+            rows = rng.uniforms(block * odd).reshape(block, -1)
         else:
             # One stream for all pairs: a pair's offset in it depends on the
             # earlier pairs' draw counts, so walk the pairs.
-            even, odd = odds.spa[ParityOutcome.EVEN][2], odds.spa[ParityOutcome.ODD][2]
-            rows = np.zeros((block, max(even, odd)))
+            rows = np.zeros((block, max(odd, even)))
             for row in rows:
                 row[0] = first = rng.uniform()
                 draws = even if first < odds.p_pol else odd

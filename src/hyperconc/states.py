@@ -284,6 +284,8 @@ def tensor(a: FullState, b: FullState) -> FullState:
 def _bit_shift(n: int, photon: int, dof: Dof) -> int:
     if not 0 <= photon < n:
         raise ValueError(f"photon index {photon} out of range for {n} photons")
+    if not isinstance(dof, Dof):
+        raise ValueError(f"degree of freedom must be a Dof, got {dof!r}")
     base = 2 * (n - 1 - photon)
     return base + 1 if dof is Dof.SPATIAL else base
 

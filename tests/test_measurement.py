@@ -18,7 +18,13 @@ from hyperconc import (
     parity_measure,
     tensor,
 )
-from hyperconc.measurement import DIAGONAL_OUTCOMES, _even_mask, diagonal_components
+from hyperconc.measurement import (
+    DIAGONAL_OUTCOMES,
+    MIN_BRANCH_PROBABILITY,
+    _certain_odds,
+    _even_mask,
+    diagonal_components,
+)
 from hyperconc.states import _bit_mask, flip_copy, maximal_ghz
 
 
@@ -81,6 +87,49 @@ class TestParity:
         outcome, post = parity_measure(joint, 0, 2, Dof.POLARIZATION, RandomSource(5))
         _, want = parity_branch(joint, 0, 2, Dof.POLARIZATION, outcome)
         assert np.allclose(post.amplitudes, want.amplitudes)
+
+    def test_arguments_must_be_enum_members(self):
+        # a string is rejected, not read as the other enum member
+        joint = joint_state()
+        with pytest.raises(ValueError, match="ParityOutcome"):
+            parity_branch(joint, 0, 2, Dof.POLARIZATION, "even")
+        with pytest.raises(ValueError, match="Dof"):
+            parity_branch(joint, 0, 2, "spatial", ParityOutcome.EVEN)
+
+
+class TestCertainty:
+    """One certainty rule: a check's odds, snapped to exactly 0 or 1 when
+    the rival outcome is below ``MIN_BRANCH_PROBABILITY``."""
+
+    @pytest.mark.parametrize("p_even, want", [
+        (0.0, 0.0),
+        (1e-15, 0.0),
+        (MIN_BRANCH_PROBABILITY, MIN_BRANCH_PROBABILITY),  # uncertain
+        (0.5, 0.5),
+        (1.0 - 1e-15, 1.0),
+        (1.0, 1.0),
+        (1.0 + 2e-16, 1.0),
+    ])
+    def test_certain_odds(self, p_even, want):
+        assert _certain_odds(p_even) == want
+
+    @pytest.mark.parametrize("state, dof, want, draws", [
+        (joint_state(1.0, 0.6), Dof.POLARIZATION, ParityOutcome.ODD, 0),
+        (joint_state(0.8, 0.0), Dof.SPATIAL, ParityOutcome.ODD, 0),
+        (ghz_to_full(GhzForm(3, DofAmplitudes(1, 0), DofAmplitudes(0, 1))),
+         Dof.POLARIZATION, ParityOutcome.EVEN, 0),
+        (joint_state(), Dof.POLARIZATION, None, 1),
+        (joint_state(), Dof.SPATIAL, None, 1),
+    ], ids=["odd", "odd-spatial", "even", "uncertain", "uncertain-spatial"])
+    def test_parity_measure_draws_only_when_uncertain(self, state, dof, want, draws):
+        """A certain check leaves the source where it was; an uncertain one
+        consumes exactly one uniform."""
+        for seed in range(5):
+            rng, fresh = RandomSource(seed), RandomSource(seed)
+            outcome, _ = parity_measure(state, 0, 2, dof, rng)
+            assert want in (None, outcome)
+            fresh.uniforms(draws)
+            assert rng.uniform() == fresh.uniform(), seed
 
 
 class TestEvenMask:

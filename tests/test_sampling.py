@@ -11,6 +11,7 @@ here from the single-trace reference path.
 import ast
 import math
 import time
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from hyperconc import (
     tensor,
 )
 from hyperconc import cli, measurement, protocol, sampling
+from hyperconc.analytics import initial_distribution, markov_evolve, round_success_unrolled
 from hyperconc.protocol import (
     FAMILIES,
     classify_residual,
@@ -221,7 +223,7 @@ class TestBatchedEqualsReference:
         assert got == reference_estimate("a", n, a, d, k, trials, seed)
 
     def test_scheme_a_edge_square(self):
-        """Every corner and near-corner pair, where forced parity checks leave
+        """Every corner and near-corner pair, where certain parity checks leave
         a trial fewer uniforms to draw before its readout."""
         t0 = time.perf_counter()
         for a in EDGES:
@@ -271,23 +273,23 @@ class TestBatchedEqualsReference:
     @pytest.mark.parametrize("a, n, d", [(0.3, 2, 5.0000000000000244e-15),
                                          (0.5, 3, 5.0000000000000205e-15)])
     def test_pool_with_pair_dependent_draw_count(self, a, n, d):
-        """The spatial check is forced after one polarization outcome only,
+        """The spatial check is certain after one polarization outcome only,
         so members of one group use different numbers of uniforms."""
         g = ghz(n, a, d)
 
-        def forced_after(resource):
-            """Per polarization outcome, even then odd: is the spatial check forced?"""
+        def certain_after(resource):
+            """Per polarization outcome, even then odd: is the spatial check certain?"""
             joint = tensor(ghz_to_full(g), ghz_to_full(resource))
-            forced = []
+            certain = []
             for outcome in ParityOutcome:
                 _, post = parity_branch(joint, 0, n, Dof.POLARIZATION, outcome)
                 p_even, _ = parity_branch(post, 0, n, Dof.SPATIAL, ParityOutcome.EVEN)
-                forced.append(min(p_even, 1.0 - p_even) < measurement.MIN_BRANCH_PROBABILITY)
-            return forced
+                certain.append(min(p_even, 1.0 - p_even) < measurement.MIN_BRANCH_PROBABILITY)
+            return certain
 
-        assert sorted(forced_after(flip_copy(g))) == [False, True]
-        # scheme a: forced after odd at (0.3, n=2), after even at (0.5, n=3)
-        assert forced_after(protocol.ancilla(g)) == (
+        assert sorted(certain_after(flip_copy(g))) == [False, True]
+        # scheme a: certain after odd at (0.3, n=2), after even at (0.5, n=3)
+        assert certain_after(protocol.ancilla(g)) == (
             [False, True] if a == 0.3 else [True, False]
         )
         for seed in (0, 1, 2):
@@ -341,7 +343,7 @@ def test_batched_round_matches_dense_rounds(n):
 def test_block_leaves_each_stream_where_its_trace_ends(a, d):
     """After 12 rounds of a block at n=2, every trial's substream stands where
     its own ``iterate_scheme_a`` leaves it, also at (0.3, 5e-15), where the
-    spatial check is forced after one polarization outcome only."""
+    spatial check is certain after one polarization outcome only."""
     g = ghz(2, a, d)
     trials, rounds = 200, 12
     master = RandomSource(4)
@@ -353,6 +355,82 @@ def test_block_leaves_each_stream_where_its_trace_ends(a, d):
         rng = master.derive(t)
         iterate_scheme_a(g, rounds, rng)
         assert rng.uniform() == after[t], t
+
+
+def table_chain(scheme, template, rounds):
+    """The exact law of a sampler call, read off its own round table.
+
+    Starting from the template's entry with mass 1, each round splits every
+    (state, settled mask) mass by the entry's parity odds, a certain check's
+    0 or 1 among them, credits a success by ``concentrates`` and moves the
+    rest to the residual's entry.  Returns the success mass of each round
+    and the final mass of each residual family.  Scheme b's chain is one
+    copy's retries.
+    """
+    table = sampling._RoundTable(protocol.ancilla if scheme == "a" else flip_copy)
+    live = {(template, 0): 1.0}
+    per_round = []
+    for _ in range(rounds):
+        success, after = 0.0, defaultdict(float)
+        for (g, mask), mass in live.items():
+            odds, residuals = table[g]
+            for e, p_pol in ((0, 1.0 - odds.p_pol), (1, odds.p_pol)):
+                for s, p_spa in ((0, 1.0 - odds.p_spa[e]), (1, odds.p_spa[e])):
+                    weight = mass * p_pol * p_spa
+                    branch = BranchClass(FAMILIES[2 * e + s])
+                    if concentrates(mask, branch):
+                        success += weight
+                    else:
+                        after[residuals[branch], mask | settled_by(branch)] += weight
+        per_round.append(success)
+        live = after
+    families = dict.fromkeys(FAMILIES[:3], 0.0)
+    for (_, mask), mass in live.items():
+        families[FAMILIES[mask]] += mass
+    return per_round, families
+
+
+# The edge square of the closed form's tests.
+EDGE_SQUARE = (0.0, 1e-300, 1e-12, 0.5 - 1e-12, 0.5, 0.5 + 1e-12, 1.0 - 1e-12, 1.0)
+
+
+class TestTableChain:
+    """The round table's odds and residuals, chained with the samplers'
+    retry rule, give the closed form's per-round success and the Markov
+    chain's residual masses, beyond the oracle's photon and round caps."""
+
+    @pytest.mark.parametrize("scheme, n", [("a", 2), ("a", 3), ("b", 2)])
+    def test_per_round_success_on_the_edge_square(self, scheme, n):
+        rounds = 50
+        a, d = np.meshgrid(EDGE_SQUARE, EDGE_SQUARE, indexing="ij")
+        want = np.array([round_success_unrolled(k, a, d) for k in range(1, rounds + 1)])
+        for (i, j), alpha_sq in np.ndenumerate(a):
+            got, _ = table_chain(scheme, ghz(n, alpha_sq, d[i, j]), rounds)
+            dev = np.max(np.abs(np.array(got) - want[:, i, j]))
+            assert dev <= 1e-12, (alpha_sq, d[i, j], dev)
+
+    @pytest.mark.parametrize("scheme", ["a", "b"])
+    @pytest.mark.parametrize("a, d", [(0.8, 0.6), (0.3, 0.9), (1e-12, 0.5), (0.999, 0.001)])
+    def test_residual_families_match_markov_chain(self, scheme, a, d):
+        dist = initial_distribution(a, d)
+        for k in range(1, 51):
+            if k > 1:
+                dist = markov_evolve(dist, k, a, d)
+            if k in (1, 3, 10, 50):
+                _, got = table_chain(scheme, ghz(2, a, d), k)
+                for family, mass in got.items():
+                    assert abs(mass - getattr(dist, family)) <= 1e-12, (k, family)
+
+    @pytest.mark.parametrize("scheme, n", [("a", 5), ("b", 4)])
+    def test_larger_states(self, scheme, n):
+        got, families = table_chain(scheme, ghz(n, 0.8, 0.6), 50)
+        want = [round_success_unrolled(k, 0.8, 0.6) for k in range(1, 51)]
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-12
+        dist = initial_distribution(0.8, 0.6)
+        for k in range(2, 51):
+            dist = markov_evolve(dist, k, 0.8, 0.6)
+        for family, mass in families.items():
+            assert abs(mass - getattr(dist, family)) <= 1e-12, family
 
 
 @pytest.fixture

@@ -195,6 +195,12 @@ class TestGates:
         assert got.spa.second == pytest.approx(INV_SQRT2)
         assert not is_maximal(got)
 
+    def test_dof_must_be_a_dof(self):
+        # a string must not fall through to polarization
+        s = ghz_to_full(maximal_ghz(2))
+        with pytest.raises(ValueError, match="Dof"):
+            apply_single_photon_gate(s, 0, "spatial")
+
 
 class TestPreparation:
     def test_maximal_ghz_is_maximal(self):
