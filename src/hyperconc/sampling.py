@@ -7,8 +7,9 @@ Scheme a runs independent traces, trial ``t`` on the substream derived from
 :class:`_RoundOdds`): each trial or pair compares its own uniforms with the
 odds of the two parity checks, which alone decide its branch, so readout
 uniforms are drawn but no readout is simulated.  Each call keeps one table
-of odds (see :class:`_RoundTable`), filled the first time the call meets a
-state and read by every later group, bucket, block and round on it.
+(see :func:`_round_table`), a cached function from a state to its
+:class:`_RoundOdds`, filled the first time the call meets the state and read
+by every later group, bucket, block and round on it.
 
 Traces run breadth first, in blocks of up to ``_BLOCK`` trials, and a pool
 bucket's pairs in blocks of up to ``_BLOCK`` pairs; a block bounds the
@@ -27,6 +28,7 @@ and raises :class:`ConsistencyError` when the two disagree.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from collections.abc import Callable
@@ -83,7 +85,8 @@ class McReport:
 
 @dataclass(frozen=True)
 class _RoundOdds:
-    """The odds of a round's two parity checks, which alone decide its branch.
+    """The odds of a round's two parity checks, which alone decide its branch,
+    and the residual each failing branch leaves.
 
     ``p_pol`` is the polarization check's even odds, and ``p_spa[e]`` the
     spatial check's after polarization outcome ``e`` (1 even, 0 odd); a
@@ -93,11 +96,14 @@ class _RoundOdds:
     counts the uniforms a member with polarization outcome ``e`` uses.  Both
     samplers draw them in the order of the dense round: one per check with
     odds strictly between 0 and 1, polarization first, then one per readout.
+    ``residuals[b]`` is the form a failing branch ``b`` leaves, the member's
+    next state (see :func:`~hyperconc.protocol.classify_residual`).
     """
 
     p_pol: float
     p_spa: tuple[float, float]
     draws: tuple[int, int]
+    residuals: dict[BranchClass, GhzForm]
 
     def branches(self, rows: np.ndarray) -> np.ndarray:
         """Each row's branch as a settled mask (see
@@ -116,7 +122,7 @@ class _RoundOdds:
 
 
 def _round_odds(g: GhzForm, resource: GhzForm) -> _RoundOdds:
-    """The odds of a dense round on ``g`` and ``resource``.
+    """The odds and residuals of a dense round on ``g`` and ``resource``.
 
     The joint state is built once, and the polarization check is projected
     once per outcome it can take, exactly as the dense round projects it.
@@ -132,28 +138,15 @@ def _round_odds(g: GhzForm, resource: GhzForm) -> _RoundOdds:
         post = _parity_post(joint, outcome, p_even, mask)[1]
         p_spa.append(_certain_odds(_parity_probs(post, 0, n, Dof.SPATIAL)[0]))
         draws.append(pol_draws + (0.0 < p_spa[-1] < 1.0) + resource.n)
-    return _RoundOdds(p_pol, (p_spa[0], p_spa[-1]), (draws[0], draws[-1]))
+    residuals = {b: classify_residual(b, g) for b in BranchClass if b is not BranchClass.EE}
+    return _RoundOdds(p_pol, (p_spa[0], p_spa[-1]), (draws[0], draws[-1]), residuals)
 
 
-class _RoundTable(dict):
-    """The rounds of one sampler call, one entry per distinct state, each
-    filled the first time the call meets its state.
-
-    ``table[g]`` holds the :class:`_RoundOdds` of a round on ``g`` and
-    ``resource(g)``, and the residual form of each failing branch (see
-    :func:`~hyperconc.protocol.classify_residual`).  The resource is a
-    function of ``g``, so ``g`` alone is the key.  A table lives as long as
-    its call: every block, group and bucket round of the call reads it.
-    """
-
-    def __init__(self, resource: Callable[[GhzForm], GhzForm]):
-        super().__init__()
-        self.resource = resource
-
-    def __missing__(self, g: GhzForm) -> tuple[_RoundOdds, dict[BranchClass, GhzForm]]:
-        residuals = {b: classify_residual(b, g) for b in BranchClass if b is not BranchClass.EE}
-        self[g] = entry = (_round_odds(g, self.resource(g)), residuals)
-        return entry
+def _round_table(resource: Callable[[GhzForm], GhzForm]) -> Callable[[GhzForm], _RoundOdds]:
+    """The rounds of one sampler call: ``table(g)`` is the :class:`_RoundOdds`
+    of a round on ``g`` and ``resource(g)``, filled the first time the call
+    meets ``g`` and read by every later block, group and bucket round."""
+    return functools.cache(lambda g: _round_odds(g, resource(g)))
 
 
 def _round_rows(odds: _RoundOdds, streams: SubstreamBlock, members: np.ndarray) -> np.ndarray:
@@ -174,7 +167,11 @@ def _round_rows(odds: _RoundOdds, streams: SubstreamBlock, members: np.ndarray) 
 
 
 def _trace_block(
-    template: GhzForm, max_rounds: int, streams: SubstreamBlock, count: int, table: _RoundTable
+    template: GhzForm,
+    max_rounds: int,
+    streams: SubstreamBlock,
+    count: int,
+    table: Callable[[GhzForm], _RoundOdds],
 ) -> tuple[np.ndarray, np.ndarray]:
     """``iterate_scheme_a`` for the ``count`` trials of one block, breadth
     first, on their ``streams``, reading each round's odds and residuals from
@@ -191,7 +188,7 @@ def _trace_block(
             break
         parts: dict[tuple[GhzForm, int], list[np.ndarray]] = defaultdict(list)
         for (g, mask), members in groups.items():
-            odds, residuals = table[g]
+            odds = table(g)
             found = odds.branches(_round_rows(odds, streams, members))
             for value, family in enumerate(FAMILIES):
                 m = members[found == value]
@@ -201,7 +198,7 @@ def _trace_block(
                 if concentrates(mask, branch):
                     success[m] = k
                 else:
-                    parts[residuals[branch], mask | settled_by(branch)].append(m)
+                    parts[odds.residuals[branch], mask | settled_by(branch)].append(m)
         groups = {key: np.concatenate(p) for key, p in parts.items()}
     for (_, mask), members in groups.items():
         settled[members] = mask
@@ -292,7 +289,7 @@ def iterate_scheme_b_pool(
     parity checks, which alone decide the branch (see
     :func:`_bucket_branches`); the diagonal readouts change no branch, so
     they are skipped.  The odds and residuals of each distinct state are
-    computed once per run (see :class:`_RoundTable`).  The results equal
+    computed once per run (see :func:`_round_table`).  The results equal
     those of running ``run_scheme_b_round`` pair by pair, buckets in
     creation order, on ``rng``: new buckets and residual tallies enter in
     the order of the first pair that produces them, and a merged bucket
@@ -306,7 +303,7 @@ def iterate_scheme_b_pool(
         raise ValueError("scheme B needs at least two photons per copy")
     buckets: dict[int, tuple[GhzForm, int]] = {0: (template, count)}
     leftover = [0] * len(FAMILIES)  # per settled mask
-    table = _RoundTable(flip_copy)
+    table = _round_table(flip_copy)
     rounds: list[PoolRound] = []
     for r in range(1, max_rounds + 1):
         stats = PoolRound(index=r, attempts=0, successes=0)
@@ -316,7 +313,7 @@ def iterate_scheme_b_pool(
             if cnt < 2:
                 continue
             stats.attempts += cnt // 2
-            odds, residuals = table[g]
+            odds = table(g)
             found, first, counts = np.unique(
                 _bucket_branches(odds, cnt // 2, rng), return_index=True, return_counts=True
             )
@@ -328,7 +325,7 @@ def iterate_scheme_b_pool(
                     stats.residual_counts[branch] = stats.residual_counts.get(branch, 0) + k
                     # a merged bucket keeps the state of its first contributor
                     key = settled | settled_by(branch)
-                    kept, total = new_buckets.get(key, (residuals[branch], 0))
+                    kept, total = new_buckets.get(key, (odds.residuals[branch], 0))
                     new_buckets[key] = (kept, total + k)
         rounds.append(stats)
         buckets = new_buckets
@@ -379,7 +376,7 @@ def mc_estimate(
     residual_counts: dict[str, int] = {}
     if scheme == "a":
         replay = _trace_record(iterate_scheme_a(template, max_rounds, master.derive(0)))
-        table = _RoundTable(ancilla)
+        table = _round_table(ancilla)
         for start in range(0, trials, _BLOCK):
             count = min(_BLOCK, trials - start)
             streams = master.derive_block(start, count)
@@ -407,7 +404,7 @@ def mc_estimate(
     rate = successes / trials
     return McReport(
         scheme=scheme,
-        n=n,
+        n=template.n,
         alpha_sq=float(alpha_sq),
         delta_sq=float(delta_sq),
         max_rounds=max_rounds,

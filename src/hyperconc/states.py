@@ -21,6 +21,7 @@ photon ``k`` and the bit above it is its spatial bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -108,8 +109,7 @@ class GhzForm:
     spa: DofAmplitudes
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"photon count must be a positive integer, got {self.n}")
+        object.__setattr__(self, "n", _photon_count(self.n, math.inf))
 
     def first_moduli_sq(self) -> tuple[float, float]:
         """(|pol.first|**2, |spa.first|**2)."""
@@ -127,8 +127,7 @@ class FullState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_photons, int) or not 1 <= self.n_photons <= PHOTON_CAP:
-            raise ValueError(f"photon count must be in [1, {PHOTON_CAP}], got {self.n_photons}")
+        object.__setattr__(self, "n_photons", _photon_count(self.n_photons, PHOTON_CAP))
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (4**self.n_photons,):
             raise ValueError(f"expected {4**self.n_photons} amplitudes, got shape {amps.shape}")
@@ -169,8 +168,7 @@ class FullState:
         that array when it is a C-contiguous complex array owning its data,
         and is copied otherwise.
         """
-        if not isinstance(n_photons, int) or not 1 <= n_photons <= PHOTON_CAP:
-            raise ValueError(f"photon count must be in [1, {PHOTON_CAP}], got {n_photons}")
+        n_photons = _photon_count(n_photons, PHOTON_CAP)
         rows = np.require(rows, np.complex128, ("C", "O"))
         if rows.ndim != 2 or rows.shape[1] != 4**n_photons:
             raise ValueError(f"expected rows of {4**n_photons} amplitudes, got shape {rows.shape}")
@@ -187,6 +185,15 @@ class FullState:
             cls._wrap(n_photons, row) if ok else cls._adopt(n_photons, row)
             for row, ok in zip(rows, trusted)
         ]
+
+
+def _photon_count(n: object, cap: float) -> int:
+    """``n`` as an ``int`` when it is an integer of any type but ``bool`` in
+    [1, cap], else ``ValueError``; the slow ``numbers.Integral`` check last."""
+    integral = type(n) is int or isinstance(n, numbers.Integral) and not isinstance(n, bool)
+    if integral and 1 <= n <= cap:
+        return int(n)
+    raise ValueError(f"photon count must be an integer in [1, {cap}], got {n}")
 
 
 def _unit_norm(amps: np.ndarray) -> np.ndarray:
@@ -214,15 +221,12 @@ def _repunit(n: int) -> int:
 def ghz_to_full(g: GhzForm) -> FullState:
     """Materialize a GhzForm as a dense state vector."""
     r = _repunit(g.n)
-    pf = complex(g.pol.first)
-    ps = complex(g.pol.second)
-    sf = complex(g.spa.first)
-    ss = complex(g.spa.second)
+    pol, spa = g.pol, g.spa  # complex amplitudes (see DofAmplitudes)
     amps = np.zeros(4**g.n, dtype=np.complex128)
-    amps[0] = pf * sf  # all |H>, all |u>
-    amps[r] = ps * sf  # all |V>, all |u>
-    amps[2 * r] = pf * ss  # all |H>, all |d>
-    amps[3 * r] = ps * ss  # all |V>, all |d>
+    amps[0] = pol.first * spa.first  # all |H>, all |u>
+    amps[r] = pol.second * spa.first  # all |V>, all |u>
+    amps[2 * r] = pol.first * spa.second  # all |H>, all |d>
+    amps[3 * r] = pol.second * spa.second  # all |V>, all |d>
     return FullState(g.n, amps)
 
 
@@ -235,8 +239,9 @@ def full_to_ghz(state: FullState) -> GhzForm:
     through it the spatial pair, each up to scale.  Each pair is normalized
     and loses the phase of its first amplitude (of its second when the first
     vanishes, which then reads exactly 0.0), so any relative phase lands in
-    the second amplitude.  Raises ``ValueError`` when the state is not a
-    product of two GHZ-like factors within ``_FORM_TOL``.
+    the second amplitude.  The form's vector is zero off the corners, so its
+    fidelity with the state is read on the corners alone; ``ValueError`` is
+    raised when it is below ``1 - _FORM_TOL``.
     """
     n = state.n_photons
     r = _repunit(n)
@@ -246,7 +251,8 @@ def full_to_ghz(state: FullState) -> GhzForm:
     if corners[i, j] == 0:
         raise ValueError("state has no amplitude on the four GHZ corners")
     g = GhzForm(n, _phase_free(corners[:, j]), _phase_free(corners[i, :]))
-    if fidelity(ghz_to_full(g), state) < 1.0 - _FORM_TOL:
+    form = np.multiply.outer([g.pol.first, g.pol.second], [g.spa.first, g.spa.second])
+    if abs(np.vdot(form, corners)) ** 2 < 1.0 - _FORM_TOL:
         raise ValueError("state is not a GHZ-like product in both degrees of freedom")
     return g
 
@@ -263,12 +269,8 @@ def _phase_free(pair: np.ndarray) -> DofAmplitudes:
 
 def is_maximal(g: GhzForm) -> bool:
     """True when all four coefficients are 1/sqrt(2) with plus signs."""
-    return (
-        abs(g.pol.first - _INV_SQRT2) <= _BALANCE_TOL
-        and abs(g.pol.second - _INV_SQRT2) <= _BALANCE_TOL
-        and abs(g.spa.first - _INV_SQRT2) <= _BALANCE_TOL
-        and abs(g.spa.second - _INV_SQRT2) <= _BALANCE_TOL
-    )
+    coefficients = (g.pol.first, g.pol.second, g.spa.first, g.spa.second)
+    return all(abs(c - _INV_SQRT2) <= _BALANCE_TOL for c in coefficients)
 
 
 def tensor(a: FullState, b: FullState) -> FullState:
@@ -278,7 +280,7 @@ def tensor(a: FullState, b: FullState) -> FullState:
     # product has the bytes of np.kron on vectors, at a fraction of its cost.
     if n > PHOTON_CAP:
         raise ValueError(f"tensor product of {n} photons exceeds cap of {PHOTON_CAP}")
-    return FullState(n, np.multiply.outer(a.amplitudes, b.amplitudes).ravel())
+    return FullState._adopt(n, np.multiply.outer(a.amplitudes, b.amplitudes).ravel())
 
 
 def _bit_shift(n: int, photon: int, dof: Dof) -> int:
@@ -302,7 +304,7 @@ def apply_single_photon_gate(state: FullState, photon: int, dof: Dof) -> FullSta
     within one degree of freedom: the one correction either scheme needs."""
     amps = state.amplitudes.copy()
     amps[_bit_mask(state.n_photons, _bit_shift(state.n_photons, photon, dof))] *= -1.0
-    return FullState(state.n_photons, amps)
+    return FullState._adopt(state.n_photons, amps)
 
 
 def flip_copy(g: GhzForm) -> GhzForm:

@@ -180,6 +180,23 @@ class TestRetryAccounting:
         with pytest.raises(ValueError):
             iterate_scheme_a(ghz(2, 0.8, 0.6), 0, RandomSource(0))
 
+    def test_accounted_success_is_physical(self):
+        """A trace the retry accounting credits ends on a round that left a
+        maximal state, at interior points and on the edges of the square
+        (only the near-balanced edges succeed within six rounds)."""
+        points = ((0.8, 0.6), (0.3, 0.9), (0.5 - 1e-12, 0.5 + 1e-12), (0.5 + 1e-12, 0.5),
+                  (1e-12, 0.5), (0.999, 0.001))
+        successes = 0
+        for n in (2, 3):
+            for a, d in points:
+                for s in range(50):
+                    trace = iterate_scheme_a(ghz(n, a, d), 6, RandomSource(s))
+                    if trace.succeeded:
+                        successes += 1
+                        last = trace.rounds[trace.success_round - 1]
+                        assert last.succeeded and is_maximal(last.post), (n, a, d, s)
+        assert successes > 100
+
 
 class TestPool:
     def test_conservation(self):

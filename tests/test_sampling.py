@@ -348,7 +348,7 @@ def test_block_leaves_each_stream_where_its_trace_ends(a, d):
     trials, rounds = 200, 12
     master = RandomSource(4)
     streams = master.derive_block(0, trials)
-    table = sampling._RoundTable(protocol.ancilla)
+    table = sampling._round_table(protocol.ancilla)
     sampling._trace_block(g, rounds, streams, trials, table)
     after = streams.uniforms(1)[:, 0]
     for t in range(trials):
@@ -367,13 +367,13 @@ def table_chain(scheme, template, rounds):
     and the final mass of each residual family.  Scheme b's chain is one
     copy's retries.
     """
-    table = sampling._RoundTable(protocol.ancilla if scheme == "a" else flip_copy)
+    table = sampling._round_table(protocol.ancilla if scheme == "a" else flip_copy)
     live = {(template, 0): 1.0}
     per_round = []
     for _ in range(rounds):
         success, after = 0.0, defaultdict(float)
         for (g, mask), mass in live.items():
-            odds, residuals = table[g]
+            odds = table(g)
             for e, p_pol in ((0, 1.0 - odds.p_pol), (1, odds.p_pol)):
                 for s, p_spa in ((0, 1.0 - odds.p_spa[e]), (1, odds.p_spa[e])):
                     weight = mass * p_pol * p_spa
@@ -381,7 +381,7 @@ def table_chain(scheme, template, rounds):
                     if concentrates(mask, branch):
                         success += weight
                     else:
-                        after[residuals[branch], mask | settled_by(branch)] += weight
+                        after[odds.residuals[branch], mask | settled_by(branch)] += weight
         per_round.append(success)
         live = after
     families = dict.fromkeys(FAMILIES[:3], 0.0)
@@ -431,6 +431,30 @@ class TestTableChain:
             dist = markov_evolve(dist, k, 0.8, 0.6)
         for family, mass in families.items():
             assert abs(mass - getattr(dist, family)) <= 1e-12, family
+
+    @pytest.mark.parametrize("a, d", [(1e-12, 0.5), (0.999, 0.001), (0.8, 0.6)])
+    def test_sampled_counts_follow_the_chain(self, a, d):
+        """The draw layer against exact odds: every cell of a scheme-a call's
+        counts, the success rounds and the residual families, lies within 4
+        sigma of its chain expectation.  Cells expecting fewer than 5 counts
+        are pooled into one; a pool expecting none must count none."""
+        trials, rounds = 100_000, 50
+        report = mc_estimate("a", 2, a, d, rounds, trials, 1)
+        per_round, families = table_chain("a", ghz(2, a, d), rounds)
+        p = np.array(per_round + list(families.values()))
+        counts = np.array(
+            list(report.per_round_success_counts)
+            + [report.residual_class_counts.get(f, 0) for f in families]
+        )
+        assert abs(p.sum() - 1.0) <= 1e-12
+        small = trials * p < 5
+        p = np.append(p[~small], p[small].sum())
+        counts = np.append(counts[~small], counts[small].sum())
+        sigma = np.sqrt(trials * p * (1.0 - p))
+        dev = np.abs(counts - trials * p)
+        assert np.all(dev[sigma == 0] == 0), (counts, trials * p)
+        z = dev[sigma > 0] / sigma[sigma > 0]
+        assert np.all(z <= 4.0), (counts, trials * p)
 
 
 @pytest.fixture
@@ -504,7 +528,7 @@ def test_protocol_is_the_dense_reference():
     and none of the batched code: it defines no batched name, imports no
     sampler and takes only public names from ``measurement``."""
     names = vars(protocol)
-    for name in ("_RoundOdds", "_round_odds", "_RoundTable", "_pair_uniforms",
+    for name in ("_RoundOdds", "_round_odds", "_round_table", "_pair_uniforms",
                  "_bucket_branches", "PoolRound", "PoolReport", "iterate_scheme_b_pool"):
         assert name not in names, name
     tree = ast.parse(Path(protocol.__file__).read_text(encoding="utf-8"))

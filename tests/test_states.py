@@ -19,6 +19,8 @@ from hyperconc import (
     tensor,
 )
 from hyperconc import states
+from hyperconc.oracle import enumerate_scheme
+from hyperconc.sampling import mc_estimate
 from hyperconc.states import (
     BALANCED,
     PHOTON_CAP,
@@ -77,6 +79,40 @@ class TestGhzForm:
 
     def test_first_moduli_sq(self):
         assert ghz(3, 0.8, 0.6).first_moduli_sq() == pytest.approx((0.8, 0.6))
+
+
+class TestPhotonCount:
+    """One photon-count rule for every constructor: any integer type but
+    ``bool``, stored as an ``int``, with the allowed range in the message."""
+
+    BUILDERS = {
+        "GhzForm": lambda n: GhzForm(n, BALANCED, BALANCED).n,
+        "FullState": lambda n: FullState(n, np.ones(4 ** int(n))).n_photons,
+        "rows": lambda n: FullState._from_rows(n, np.ones((1, 4 ** int(n))))[0].n_photons,
+    }
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+    @pytest.mark.parametrize("n", [2, np.int64(2), np.uint8(2)], ids=["int", "int64", "uint8"])
+    def test_integer_types_accepted_as_int(self, build, n):
+        got = build(n)
+        assert got == 2 and type(got) is int
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+    @pytest.mark.parametrize("n", [True, 2.0, 0, np.int64(0)])
+    def test_non_integers_and_bools_rejected(self, build, n):
+        with pytest.raises(ValueError, match=r"photon count must be an integer in \[1, "):
+            build(n)
+
+    def test_cap_named(self):
+        with pytest.raises(ValueError, match=rf"in \[1, {PHOTON_CAP}\], got {PHOTON_CAP + 1}"):
+            FullState(np.int64(PHOTON_CAP + 1), np.ones(4))
+
+    def test_entry_points_take_numpy_counts(self):
+        report = mc_estimate("a", np.int64(2), 0.8, 0.6, 3, 50, 1)
+        assert report == mc_estimate("a", 2, 0.8, 0.6, 3, 50, 1)
+        assert type(report.n) is int
+        tree, want = enumerate_scheme("a", np.int64(2), 0.8, 0.6), enumerate_scheme("a", 2, 0.8, 0.6)
+        assert (len(tree.leaves), tree.total_mass()) == (len(want.leaves), want.total_mass())
 
 
 class TestFullState:
@@ -311,6 +347,18 @@ class TestExtraction:
         amps[0] = amps[1] = 1.0  # photon 1 superposed alone: not GHZ-like
         with pytest.raises(ValueError):
             full_to_ghz(FullState(2, amps))
+
+    @pytest.mark.parametrize("off, accepted", [(1e-10, True), (1e-8, False)])
+    def test_form_tolerance_on_mass_off_the_corners(self, off, accepted):
+        # The form is accepted while its fidelity with the state, 1 - off,
+        # is at least 1 - 1e-9.
+        amps = math.sqrt(1.0 - off) * ghz_to_full(ghz(2, 0.8, 0.6)).amplitudes
+        amps[1] = math.sqrt(off)
+        if accepted:
+            assert full_to_ghz(FullState(2, amps)).first_moduli_sq() == pytest.approx((0.8, 0.6))
+        else:
+            with pytest.raises(ValueError, match="not a GHZ-like product"):
+                full_to_ghz(FullState(2, amps))
 
     def test_global_phase_is_ignored(self):
         g = ghz(2, 0.8, 0.6)
