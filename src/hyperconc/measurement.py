@@ -209,8 +209,8 @@ class SubstreamBlock:
 
 @lru_cache(maxsize=None)
 def _even_mask(n: int, shift_i: int, shift_j: int) -> np.ndarray:
-    # From the index bits themselves, so that no per-bit mask of a joint
-    # size is cached beside it; uint32 holds every index up to 16 photons.
+    # From the index bits themselves; uint32 holds every index up to 16
+    # photons.
     index = np.arange(4**n, dtype=np.uint32)
     bits = index >> shift_i
     bits ^= index >> shift_j

@@ -24,13 +24,7 @@ from .measurement import (
     parity_branch,
 )
 from .protocol import BranchClass, check_scheme
-from .states import (
-    Dof,
-    FullState,
-    _bit_mask,
-    _bit_shift,
-    _repunit,
-)
+from .states import Dof, FullState, _bit_shift, _photon_count, _repunit
 
 ORACLE_PHOTON_CAP = 8
 
@@ -51,14 +45,6 @@ def _maximal_vector(n: int) -> FullState:
 
 
 @lru_cache(maxsize=None)
-def _all_zero_mask(n: int, spatial: bool) -> np.ndarray:
-    dof = Dof.SPATIAL if spatial else Dof.POLARIZATION
-    mask = ~np.logical_or.reduce([_bit_mask(n, _bit_shift(n, k, dof)) for k in range(n)])
-    mask.flags.writeable = False
-    return mask
-
-
-@lru_cache(maxsize=None)
 def _readout_patterns(
     n_resource: int,
 ) -> tuple[tuple[tuple[str, ...], ...], np.ndarray, np.ndarray]:
@@ -75,17 +61,6 @@ def _readout_patterns(
     pol_odd.flags.writeable = False
     spa_odd.flags.writeable = False
     return labels, pol_odd, spa_odd
-
-
-@lru_cache(maxsize=None)
-def _photon0_bits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per working row: photon 0's polarization bit, its spatial bit, and
-    its correction class (pol bit + 2 * spa bit)."""
-    pol_one = _bit_mask(n, _bit_shift(n, 0, Dof.POLARIZATION))
-    spa_one = _bit_mask(n, _bit_shift(n, 0, Dof.SPATIAL))
-    row_class = pol_one + 2 * spa_one.astype(np.intp)
-    row_class.flags.writeable = False
-    return pol_one, spa_one, row_class
 
 
 def _parity_branches(
@@ -196,6 +171,7 @@ def enumerate_scheme(scheme: str, n: int, alpha_sq: float, delta_sq: float) -> O
     working state; amplitudes are taken real and nonnegative.
     """
     check_scheme(scheme)
+    n = _photon_count(n, math.inf)
     if n < 2:
         raise ValueError("the working state needs at least two photons")
 
@@ -230,11 +206,10 @@ def enumerate_scheme(scheme: str, n: int, alpha_sq: float, delta_sq: float) -> O
     )
     n_live = live_rows.size
     labels, pol_odd, spa_odd = _readout_patterns(n_resource)
-    pol_one, spa_one, row_class = _photon0_bits(n)
 
     # Read every resource photon out in one pass over the live rows of all
-    # branches, followed by one all-+0 row per photon-0 correction class
-    # (pol bit + 2 * spa bit) that stands for every row without amplitude.
+    # branches, followed by one all-+0 row per photon-0 digit (its
+    # correction class) that stands for every row without amplitude.
     # Contracting the readout rows onto a photon's axis sends that axis to
     # the back, so after n_resource contractions of axis 1 the block is
     # indexed by (row, outcome of photon n, ..., outcome of last).  Readouts
@@ -260,12 +235,16 @@ def enumerate_scheme(scheme: str, n: int, alpha_sq: float, delta_sq: float) -> O
     mags = corrected.real**2 + corrected.imag**2
     live_mags = mags[:n_live].reshape(live.shape)
     probs = np.sum(live_mags, axis=1)
+    # A row has no photon in V (in d) when no digit has bit 0 (bit 1) set;
+    # the -1 padding has every bit set, so it counts in neither marginal.
     pol_masses, spa_masses = (
-        np.sum(np.where(_all_zero_mask(n, spatial)[live_rows, None], live_mags, 0.0), axis=1)
-        for spatial in (False, True)
+        np.sum(np.where((live_rows & bits == 0)[..., None], live_mags, 0.0), axis=1)
+        for bits in (_repunit(n), 2 * _repunit(n))
     )
-    corrected[np.ix_(np.append(pol_one[live_rows], [False, True, False, True]), pol_odd)] *= -1.0
-    corrected[np.ix_(np.append(spa_one[live_rows], [False, False, True, True]), spa_odd)] *= -1.0
+    # Photon 0's digit of every block row; the padding reads as digit 3.
+    digit = np.append(live_rows >> _bit_shift(n, 0, Dof.POLARIZATION), range(4))
+    corrected[np.ix_(digit & 1 == 1, pol_odd)] *= -1.0
+    corrected[np.ix_(digit & 2 == 2, spa_odd)] *= -1.0
     # The overlap is summed in another order than the dense product was; it
     # only feeds the 1e-10 success test below, far above rounding.
     target_conj = _maximal_vector(n).amplitudes.conj()[live_rows, None]
@@ -277,11 +256,12 @@ def enumerate_scheme(scheme: str, n: int, alpha_sq: float, delta_sq: float) -> O
     dropped += float(np.sum(weights[~kept]))
 
     # Leaf states: divide the compressed rows, then gather them into dense
-    # rows, each row without amplitude from its correction class's row.
+    # rows.  The rows of photon-0 digit d are the d-th contiguous quarter,
+    # and each row without amplitude is that digit's class row.
     where, cols = np.nonzero(kept)
     p = probs[where, cols]
     scaled = corrected[:, cols].T / np.sqrt(p)[:, None]
-    dense = np.take(scaled, n_live + row_class, axis=1)
+    dense = np.repeat(scaled[:, n_live:], 4 ** (n - 1), axis=1)
     leaf, slot = np.nonzero(live_rows[where] >= 0)
     owner = where[leaf]
     dense[leaf, live_rows[owner, slot]] = scaled[leaf, owner * live_rows.shape[1] + slot]
@@ -318,8 +298,7 @@ def exact_iteration_tree(
     retry accounting of the iteration drivers, reproduced here on enumerated
     masses alone.
     """
-    if not 1 <= max_rounds <= 6:
-        raise ValueError("max_rounds must lie in [1, 6]")
+    max_rounds = _photon_count(max_rounds, 6, "max_rounds")
     agree_tol = 1e-9
     # (pol settled?, spa settled?) -> (mass, pol_sq, spa_sq)
     entries: dict[tuple[bool, bool], tuple[float, float, float]] = {

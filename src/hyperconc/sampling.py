@@ -57,7 +57,7 @@ from .protocol import (
     iterate_scheme_a,
     settled_by,
 )
-from .states import Dof, DofAmplitudes, GhzForm, flip_copy, ghz_to_full, tensor
+from .states import Dof, DofAmplitudes, GhzForm, _photon_count, flip_copy, ghz_to_full, tensor
 
 # Scheme-a trials, or pool pairs, simulated together; bounds the live
 # substreams, the per-trial arrays and the uniforms drawn at once, and
@@ -362,8 +362,8 @@ def mc_estimate(
     family: eo polarization settled, oe spatial settled, oo neither.
     """
     check_scheme(scheme)
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    trials = _photon_count(trials, math.inf, "trials")
+    max_rounds = _photon_count(max_rounds, math.inf, "max_rounds")
     if trials > _SPAWN_LIMIT:
         raise ValueError(f"trials must be at most 2**32, got {trials}")
     template = GhzForm(

@@ -24,7 +24,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -187,13 +186,14 @@ class FullState:
         ]
 
 
-def _photon_count(n: object, cap: float) -> int:
+def _photon_count(n: object, cap: float, name: str = "photon count") -> int:
     """``n`` as an ``int`` when it is an integer of any type but ``bool`` in
-    [1, cap], else ``ValueError``; the slow ``numbers.Integral`` check last."""
+    [1, cap], else ``ValueError`` naming it; the slow ``numbers.Integral``
+    check last.  Photon, trial and round counts all take this rule."""
     integral = type(n) is int or isinstance(n, numbers.Integral) and not isinstance(n, bool)
     if integral and 1 <= n <= cap:
         return int(n)
-    raise ValueError(f"photon count must be an integer in [1, {cap}], got {n}")
+    raise ValueError(f"{name} must be an integer in [1, {cap}], got {n}")
 
 
 def _unit_norm(amps: np.ndarray) -> np.ndarray:
@@ -292,18 +292,13 @@ def _bit_shift(n: int, photon: int, dof: Dof) -> int:
     return base + 1 if dof is Dof.SPATIAL else base
 
 
-@lru_cache(maxsize=None)
-def _bit_mask(n: int, shift: int) -> np.ndarray:
-    mask = ((np.arange(4**n) >> shift) & 1).astype(bool)
-    mask.flags.writeable = False
-    return mask
-
-
 def apply_single_photon_gate(state: FullState, photon: int, dof: Dof) -> FullState:
     """Apply Z, a sign flip on the second basis state (V or d), to one photon
     within one degree of freedom: the one correction either scheme needs."""
+    shift = _bit_shift(state.n_photons, photon, dof)
     amps = state.amplitudes.copy()
-    amps[_bit_mask(state.n_photons, _bit_shift(state.n_photons, photon, dof))] *= -1.0
+    # The indices with bit ``shift`` set are every other run of 2**shift.
+    amps.reshape(-1, 2, 2**shift)[:, 1] *= -1.0
     return FullState._adopt(state.n_photons, amps)
 
 

@@ -27,12 +27,11 @@ from hyperconc.measurement import (
 from hyperconc.oracle import (
     OutcomeLeaf,
     OutcomeTree,
-    _all_zero_mask,
     _ghz_vector,
     _maximal_vector,
     enumerate_scheme,
 )
-from hyperconc.states import Dof, _bit_mask, _bit_shift
+from hyperconc.states import Dof
 
 GOLDEN_ENUMERATE = Path(__file__).parent / "data" / "enumerate_golden.txt"
 HEADER = "$ hyperconc enumerate "
@@ -92,8 +91,15 @@ def test_enumerate_bytes_match_golden(tmp_path):
 
 
 def reference_enumerate(scheme, n, alpha_sq, delta_sq):
-    """The enumerator's former per-column loop: one ``FullState`` per leaf."""
+    """The enumerator's former per-column loop: one ``FullState`` per leaf.
+
+    Its row masks are spelled here from the basis convention, digit by
+    digit, and share no helper with the enumerator."""
     n_resource = 1 if scheme == "a" else n
+    # bits[k, s]: the rows whose photon k has bit s set (0 polarization, 1
+    # spatial); photon 0 is the most significant base-4 digit.
+    shifts = 2 * (n - 1 - np.arange(n))[:, None] + np.arange(2)
+    bits = (np.arange(4**n) >> shifts[:, :, None]) & 1 == 1
     a, b = math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq)
     c, d = math.sqrt(delta_sq), math.sqrt(1.0 - delta_sq)
     working = _ghz_vector(n, (a, b), (c, d))
@@ -128,15 +134,13 @@ def reference_enumerate(scheme, n, alpha_sq, delta_sq):
             spa_odd = np.bitwise_xor.reduce(digits & 1, axis=0).astype(bool)
             corrected = flat.copy()
             if pol_odd.any():
-                rows = _bit_mask(n, _bit_shift(n, 0, Dof.POLARIZATION))
-                corrected[np.ix_(rows, pol_odd)] *= -1.0
+                corrected[np.ix_(bits[0, 0], pol_odd)] *= -1.0
             if spa_odd.any():
-                rows = _bit_mask(n, _bit_shift(n, 0, Dof.SPATIAL))
-                corrected[np.ix_(rows, spa_odd)] *= -1.0
+                corrected[np.ix_(bits[0, 1], spa_odd)] *= -1.0
             overlaps = target.amplitudes.conj() @ corrected
             fid_num = overlaps.real**2 + overlaps.imag**2
-            pol_masses = np.sum(mags[_all_zero_mask(n, False)], axis=0)
-            spa_masses = np.sum(mags[_all_zero_mask(n, True)], axis=0)
+            pol_masses = np.sum(mags[~bits[:, 0].any(axis=0)], axis=0)
+            spa_masses = np.sum(mags[~bits[:, 1].any(axis=0)], axis=0)
 
             for col in range(4 ** n_resource):
                 p = float(probs[col])
@@ -181,6 +185,8 @@ configs = st.one_of(
 @example(("b", 4), 0.37, 0.81)
 @example(("b", 4), 1e-12, 1.0 - 1e-12)
 @example(("a", 6), 1e-300, 0.5)
+@example(("a", 7), 0.8, 0.6)
+@example(("a", 7), 1.0, 0.5)
 def test_leaves_equal_reference_loop(config, alpha_sq, delta_sq):
     scheme, n = config
     tree = enumerate_scheme(scheme, n, alpha_sq, delta_sq)

@@ -25,7 +25,7 @@ from hyperconc.measurement import (
     _even_mask,
     diagonal_components,
 )
-from hyperconc.states import _bit_mask, flip_copy, maximal_ghz
+from hyperconc.states import flip_copy, maximal_ghz
 
 
 def joint_state(alpha_sq=0.8, delta_sq=0.6, n=2):
@@ -137,16 +137,11 @@ class TestEvenMask:
 
     def test_equals_the_per_bit_masks(self):
         for n in range(1, 7):
+            idx = np.arange(4**n)
             for si in range(2 * n):
                 for sj in range(2 * n):
-                    want = _bit_mask(n, si) == _bit_mask(n, sj)
+                    want = (idx >> si) & 1 == (idx >> sj) & 1
                     assert np.array_equal(_even_mask(n, si, sj), want), (n, si, sj)
-
-    def test_caches_no_per_bit_mask(self):
-        # the per-bit cache holds only the masks the sign corrections use
-        _bit_mask.cache_clear()
-        _even_mask.__wrapped__(6, 0, 11)
-        assert _bit_mask.cache_info().currsize == 0
 
 
 class TestDiagonal:

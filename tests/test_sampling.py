@@ -421,7 +421,7 @@ class TestTableChain:
                 for family, mass in got.items():
                     assert abs(mass - getattr(dist, family)) <= 1e-12, (k, family)
 
-    @pytest.mark.parametrize("scheme, n", [("a", 5), ("b", 4)])
+    @pytest.mark.parametrize("scheme, n", [("a", 5), ("b", 4), ("a", 9), ("b", 5)])
     def test_larger_states(self, scheme, n):
         got, families = table_chain(scheme, ghz(n, 0.8, 0.6), 50)
         want = [round_success_unrolled(k, 0.8, 0.6) for k in range(1, 51)]

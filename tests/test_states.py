@@ -19,11 +19,12 @@ from hyperconc import (
     tensor,
 )
 from hyperconc import states
-from hyperconc.oracle import enumerate_scheme
+from hyperconc.oracle import enumerate_scheme, exact_iteration_tree
 from hyperconc.sampling import mc_estimate
 from hyperconc.states import (
     BALANCED,
     PHOTON_CAP,
+    _bit_shift,
     fidelity,
     flip_copy,
     is_maximal,
@@ -108,11 +109,24 @@ class TestPhotonCount:
             FullState(np.int64(PHOTON_CAP + 1), np.ones(4))
 
     def test_entry_points_take_numpy_counts(self):
-        report = mc_estimate("a", np.int64(2), 0.8, 0.6, 3, 50, 1)
+        report = mc_estimate("a", np.int64(2), 0.8, 0.6, np.int64(3), np.uint16(50), 1)
         assert report == mc_estimate("a", 2, 0.8, 0.6, 3, 50, 1)
-        assert type(report.n) is int
+        assert (type(report.n), type(report.max_rounds), type(report.trials)) == (int, int, int)
         tree, want = enumerate_scheme("a", np.int64(2), 0.8, 0.6), enumerate_scheme("a", 2, 0.8, 0.6)
         assert (len(tree.leaves), tree.total_mass()) == (len(want.leaves), want.total_mass())
+        assert type(tree.n) is int
+        got = exact_iteration_tree("b", 2, 0.8, 0.6, np.int64(3))
+        assert got == exact_iteration_tree("b", 2, 0.8, 0.6, 3)
+        # a bool or a float count is refused by name, not run or crashed on
+        for name, call in [
+            ("photon count", lambda c: enumerate_scheme("a", c, 0.8, 0.6)),
+            ("max_rounds", lambda c: exact_iteration_tree("a", 2, 0.8, 0.6, c)),
+            ("max_rounds", lambda c: mc_estimate("a", 2, 0.8, 0.6, c, 100)),
+            ("trials", lambda c: mc_estimate("a", 2, 0.8, 0.6, 2, c)),
+        ]:
+            for count in (True, 2.0, np.float64(2.0)):
+                with pytest.raises(ValueError, match=rf"{name} must be an integer in \[1, "):
+                    call(count)
 
 
 class TestFullState:
@@ -220,6 +234,14 @@ class TestBasisLayout:
         idx = np.arange(16)
         assert np.array_equal(self.z_sign_pattern(2, 1, Dof.POLARIZATION), idx[idx & 1 == 1])
         assert np.array_equal(self.z_sign_pattern(2, 1, Dof.SPATIAL), idx[idx & 2 == 2])
+
+    def test_z_flips_the_indices_of_its_bit_everywhere(self):
+        for n in range(1, 7):
+            idx = np.arange(4**n)
+            for k in range(n):
+                for dof in Dof:
+                    want = idx[(idx >> _bit_shift(n, k, dof)) & 1 == 1]
+                    assert np.array_equal(self.z_sign_pattern(n, k, dof), want), (n, k, dof)
 
 
 class TestGates:
