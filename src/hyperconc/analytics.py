@@ -11,10 +11,11 @@ c = delta_sq, d = 1 - c, round 1 splits as
     P_oo = (a^2+b^2)(c^2+d^2)
 
 and each failed round squares the coefficients of every unbalanced degree of
-freedom: p -> p^2 / (p^2 + (1-p)^2).  Round-k branch rates therefore involve
-the 2^k-th powers of the original amplitudes; they are evaluated through the
-squaring recursion, which stays finite and NaN-free where literal powers
-would underflow.
+freedom: p -> p^2 / (p^2 + (1-p)^2).  Round k splits like round 1, at the
+coefficients squared k - 1 times, so its branch rates involve the 2^k-th
+powers of the original amplitudes; they are evaluated through the squaring
+recursion, which stays finite and NaN-free where literal powers would
+underflow.
 
 Every evaluator takes its parameters as floats or as float64 arrays of one
 shape, and runs the same lines on both: elementwise ``+ - * /`` on float64
@@ -29,6 +30,7 @@ agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,20 +77,10 @@ class BranchProbs:
 
 
 def round1_probabilities(alpha_sq: Value, delta_sq: Value) -> BranchProbs:
-    """Branch split of the first round for the given input parameters."""
-    a = _check_param("alpha_sq", alpha_sq)
-    c = _check_param("delta_sq", delta_sq)
-    b, d = 1.0 - a, 1.0 - c
-    pol_even = 2.0 * a * b
-    spa_even = 2.0 * c * d
-    pol_odd = a * a + b * b
-    spa_odd = c * c + d * d
-    return BranchProbs(
-        ee=pol_even * spa_even,
-        eo=pol_even * spa_odd,
-        oe=spa_even * pol_odd,
-        oo=pol_odd * spa_odd,
-    )
+    """Branch split of the first round for the given input parameters: the
+    oo row of ``branch_rates(1, ...)``."""
+    r = branch_rates(1, alpha_sq, delta_sq)
+    return BranchProbs(ee=r.oo_ee, eo=r.oo_eo, oe=r.oo_oe, oo=r.oo_oo)
 
 
 def squared_renormalized(p: Value) -> Value:
@@ -114,7 +106,8 @@ class RoundTable:
     state (polarization balanced, spatial residual); ``oe_s``/``oe_f`` are
     the polarization counterparts.  The oo-class rates factor into these:
     an oo round succeeds only on ee, and its three failure outcomes hand the
-    state to eo, oe, or oo again.
+    state to eo, oe, or oo again.  A fresh state has settled nothing, so at
+    k = 1 the oo row is its split (see :func:`round1_probabilities`).
     """
 
     eo_s: Value
@@ -128,15 +121,14 @@ class RoundTable:
 
 
 def branch_rates(k: int, alpha_sq: Value, delta_sq: Value) -> RoundTable:
-    """Rates of round k (k >= 2) as functions of the round-1 parameters."""
-    if k < 2:
-        raise ValueError("branch rates are defined for rounds k >= 2")
+    """Rates of round k (k >= 1) as functions of the round-1 parameters."""
     a = coefficient_at_round(_check_param("alpha_sq", alpha_sq), k)
     c = coefficient_at_round(_check_param("delta_sq", delta_sq), k)
-    eo_s = 2.0 * c * (1.0 - c)
-    eo_f = c * c + (1.0 - c) * (1.0 - c)
-    oe_s = 2.0 * a * (1.0 - a)
-    oe_f = a * a + (1.0 - a) * (1.0 - a)
+    b, d = 1.0 - a, 1.0 - c
+    eo_s = 2.0 * c * d
+    eo_f = c * c + d * d
+    oe_s = 2.0 * a * b
+    oe_f = a * a + b * b
     return RoundTable(
         eo_s=eo_s,
         eo_f=eo_f,
@@ -157,32 +149,27 @@ def round_success_unrolled(k: int, alpha_sq: Value, delta_sq: Value) -> Value:
     round at which an oo-class state first fixes one degree of freedom; empty
     products count as one.
     """
-    p1 = round1_probabilities(alpha_sq, delta_sq)
     if k < 1:
         raise ValueError("round index must be at least 1")
+    r = {j: branch_rates(j, alpha_sq, delta_sq) for j in range(1, k + 1)}
+    p1 = r[1]
     if k == 1:
-        return p1.ee
-    r = {j: branch_rates(j, alpha_sq, delta_sq) for j in range(2, k + 1)}
+        return p1.oo_ee
     if k == 2:
-        return p1.eo * r[2].eo_s + p1.oe * r[2].oe_s + p1.oo * r[2].oo_ee
-
-    def prod(values: list[Value]) -> Value:
-        out = 1.0
-        for v in values:
-            out *= v
-        return out
+        return p1.oo_eo * r[2].eo_s + p1.oo_oe * r[2].oe_s + p1.oo_oo * r[2].oo_ee
 
     # Mass that sits in the eo class when round k begins, divided by the
     # spatial failure factors it shared with the oo class along the way.
-    eo_arrivals = p1.eo + p1.oo * sum(
-        prod([r[j].oe_f for j in range(2, m)]) * r[m].oe_s for m in range(2, k)
+    eo_arrivals = p1.oo_eo + p1.oo_oo * sum(
+        math.prod([r[j].oe_f for j in range(2, m)]) * r[m].oe_s for m in range(2, k)
     )
-    oe_arrivals = p1.oe + p1.oo * sum(
-        prod([r[j].eo_f for j in range(2, m)]) * r[m].eo_s for m in range(2, k)
+    oe_arrivals = p1.oo_oe + p1.oo_oo * sum(
+        math.prod([r[j].eo_f for j in range(2, m)]) * r[m].eo_s for m in range(2, k)
     )
-    term_eo = eo_arrivals * prod([r[j].eo_f for j in range(2, k)]) * r[k].eo_s
-    term_oe = oe_arrivals * prod([r[j].oe_f for j in range(2, k)]) * r[k].oe_s
-    term_oo = p1.oo * prod([r[j].eo_f * r[j].oe_f for j in range(2, k)]) * r[k].eo_s * r[k].oe_s
+    term_eo = eo_arrivals * math.prod([r[j].eo_f for j in range(2, k)]) * r[k].eo_s
+    term_oe = oe_arrivals * math.prod([r[j].oe_f for j in range(2, k)]) * r[k].oe_s
+    oo_stays = math.prod([r[j].eo_f * r[j].oe_f for j in range(2, k)])
+    term_oo = p1.oo_oo * oo_stays * r[k].eo_s * r[k].oe_s
     return term_eo + term_oe + term_oo
 
 
@@ -203,8 +190,8 @@ class BranchDistribution:
 
 def initial_distribution(alpha_sq: Value, delta_sq: Value) -> BranchDistribution:
     """Distribution after round 1: the ee mass is already done."""
-    p1 = round1_probabilities(alpha_sq, delta_sq)
-    return BranchDistribution(done=p1.ee, eo=p1.eo, oe=p1.oe, oo=p1.oo)
+    r = branch_rates(1, alpha_sq, delta_sq)
+    return BranchDistribution(done=r.oo_ee, eo=r.oo_eo, oe=r.oo_oe, oo=r.oo_oo)
 
 
 def markov_evolve(
@@ -284,18 +271,17 @@ def pool_expected_yield(n_rounds: int, alpha_sq: Value, delta_sq: Value) -> Valu
 
         Y_k(class) = success_rate + sum_residual rate * Y_{k+1}(residual) / 2,
 
-    gives Y_1 per round-1 pair, hence Y_1 / 2 per initial copy.
+    gives Y_1 per round-1 pair, hence Y_1 / 2 per initial copy; a fresh copy
+    is an oo copy.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be at least 1")
     y_eo = y_oe = y_oo = 0.0
-    for k in range(n_rounds, 1, -1):
+    for k in range(n_rounds, 0, -1):
         r = branch_rates(k, alpha_sq, delta_sq)
         y_eo, y_oe, y_oo = (
             r.eo_s + r.eo_f * 0.5 * y_eo,
             r.oe_s + r.oe_f * 0.5 * y_oe,
             r.oo_ee + r.oo_eo * 0.5 * y_eo + r.oo_oe * 0.5 * y_oe + r.oo_oo * 0.5 * y_oo,
         )
-    p1 = round1_probabilities(alpha_sq, delta_sq)
-    y1 = p1.ee + p1.eo * 0.5 * y_eo + p1.oe * 0.5 * y_oe + p1.oo * 0.5 * y_oo
-    return y1 / 2.0
+    return y_oo / 2.0

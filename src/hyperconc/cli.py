@@ -189,8 +189,9 @@ def _verify_checks(quick: bool, seed: int):
     combos = [("a", 2), ("b", 2)] if quick else [("a", 2), ("a", 3), ("b", 2), ("b", 3)]
 
     # Route 1 vs 2: closed-form round-1 split against exhaustive class masses;
-    # and the residual families: enumerated survivor coefficients against the
-    # squared-coefficient recursion.  One tree per point serves both; the
+    # and the residual families: enumerated survivor coefficients against
+    # the protocol's residual rule (``classify_residual``), not the closed
+    # form's squaring recursion.  One tree per point serves both; the
     # residual rows follow all the round-1 rows.
     residual_rows = []
     for scheme, n in combos:

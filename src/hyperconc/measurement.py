@@ -13,13 +13,14 @@ freedom at once and removes it from the state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .states import Dof, FullState, _bit_shift
+from .states import Dof, FullState, _bit_shift, _photon_count
 
 # Branches with probability below this are treated as impossible: they are
 # never sampled and branch projections report them as empty.
@@ -69,7 +70,7 @@ class RandomSource:
     """
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
-        self.seed = int(seed)
+        self.seed = _photon_count(seed, math.inf, "seed", low=0)
         self._path = _path
         seq = np.random.SeedSequence(self.seed, spawn_key=_path)
         self._gen = np.random.Generator(np.random.PCG64(seq))

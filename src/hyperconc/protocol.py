@@ -28,6 +28,7 @@ imports nothing from there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,6 +45,7 @@ from .states import (
     DofAmplitudes,
     FullState,
     GhzForm,
+    _photon_count,
     apply_single_photon_gate,
     flip_copy,
     full_to_ghz,
@@ -236,8 +238,7 @@ def iterate_scheme_a(state: GhzForm, max_rounds: int, rng: RandomSource) -> Iter
     After a failed round the working state is replaced by its residual family
     and a fresh ancilla is tailored to the new coefficients.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be at least 1")
+    max_rounds = _photon_count(max_rounds, math.inf, "max_rounds")
     results: list[RoundResult] = []
     settled = 0
     for k in range(1, max_rounds + 1):

@@ -151,18 +151,18 @@ def _round_table(resource: Callable[[GhzForm], GhzForm]) -> Callable[[GhzForm], 
 
 def _round_rows(odds: _RoundOdds, streams: SubstreamBlock, members: np.ndarray) -> np.ndarray:
     """Each member's uniforms of one round on ``odds``, one row each (see
-    :class:`_RoundOdds`), drawn straight from the member's own stream."""
+    :class:`_RoundOdds`), drawn straight from the member's own stream.
+
+    The counts differ only after an uncertain polarization check, where the
+    shorter outcome's spatial check is certain.  So a row of the shorter
+    count holds both columns that :meth:`_RoundOdds.branches` reads, and a
+    member whose outcome draws one more skips its last readout's uniform.
+    """
     odd, even = odds.draws
-    if odd == even:
-        return streams.uniforms(odd, members)
-    # The counts differ only after an uncertain polarization check.  Each
-    # stream is a member's own: draw every polarization uniform, then the
-    # rest of each row.
-    rows = np.zeros((len(members), max(odd, even)))
-    rows[:, :1] = streams.uniforms(1, members)
-    pol_even = rows[:, 0] < odds.p_pol
-    for draws, mine in ((even, pol_even), (odd, ~pol_even)):
-        rows[mine, 1:draws] = streams.uniforms(draws - 1, members[mine])
+    rows = streams.uniforms(min(odd, even), members)
+    if odd != even:
+        longer = (rows[:, 0] < odds.p_pol) == (even > odd)
+        streams.uniforms(1, members[longer])
     return rows
 
 
@@ -295,10 +295,10 @@ def iterate_scheme_b_pool(
     the order of the first pair that produces them, and a merged bucket
     keeps the state of its first contributor.
     """
+    count = _photon_count(count, math.inf, "count")
     if count < 2:
         raise ValueError("the pool needs at least two copies")
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be at least 1")
+    max_rounds = _photon_count(max_rounds, math.inf, "max_rounds")
     if template.n < 2:
         raise ValueError("scheme B needs at least two photons per copy")
     buckets: dict[int, tuple[GhzForm, int]] = {0: (template, count)}
@@ -409,7 +409,7 @@ def mc_estimate(
         delta_sq=float(delta_sq),
         max_rounds=max_rounds,
         trials=trials,
-        seed=seed,
+        seed=master.seed,
         successes=successes,
         success_rate=rate,
         standard_error=math.sqrt(rate * (1.0 - rate) / trials),

@@ -186,14 +186,15 @@ class FullState:
         ]
 
 
-def _photon_count(n: object, cap: float, name: str = "photon count") -> int:
+def _photon_count(n: object, cap: float, name: str = "photon count", low: int = 1) -> int:
     """``n`` as an ``int`` when it is an integer of any type but ``bool`` in
-    [1, cap], else ``ValueError`` naming it; the slow ``numbers.Integral``
-    check last.  Photon, trial and round counts all take this rule."""
+    [low, cap], else ``ValueError`` naming it; the slow ``numbers.Integral``
+    check last.  Photon, copy, trial and round counts and seeds (``low`` 0)
+    all take this rule."""
     integral = type(n) is int or isinstance(n, numbers.Integral) and not isinstance(n, bool)
-    if integral and 1 <= n <= cap:
+    if integral and low <= n <= cap:
         return int(n)
-    raise ValueError(f"{name} must be an integer in [1, {cap}], got {n}")
+    raise ValueError(f"{name} must be an integer in [{low}, {cap}], got {n}")
 
 
 def _unit_norm(amps: np.ndarray) -> np.ndarray:

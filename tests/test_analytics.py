@@ -1,5 +1,6 @@
 """Closed-form rates, the two success evaluators, grids, and pool yield."""
 
+import decimal
 import math
 
 import numpy as np
@@ -118,13 +119,13 @@ class TestRoundRates:
         assert r.oo_ee == pytest.approx(r.eo_s * r.oe_s, abs=1e-15)
 
     def test_rows_are_distributions(self):
-        for k in range(2, 7):
+        for k in range(1, 7):
             r = branch_rates(k, 0.8, 0.6)
             assert r.eo_s + r.eo_f == pytest.approx(1.0, abs=1e-12)
             assert r.oe_s + r.oe_f == pytest.approx(1.0, abs=1e-12)
             assert r.oo_ee + r.oo_eo + r.oo_oe + r.oo_oo == pytest.approx(1.0, abs=1e-12)
 
-    @given(a=params, c=params, k=st.integers(2, 4))
+    @given(a=params, c=params, k=st.integers(1, 4))
     @settings(max_examples=60)
     def test_literal_product_form_agrees(self, a, c, k):
         fast = branch_rates(k, a, c)
@@ -132,9 +133,15 @@ class TestRoundRates:
         for field in ("eo_s", "eo_f", "oe_s", "oe_f", "oo_ee", "oo_eo", "oo_oe", "oo_oo"):
             assert getattr(fast, field) == pytest.approx(getattr(lit, field), abs=1e-12)
 
-    def test_first_round_rejected(self):
-        with pytest.raises(ValueError):
-            branch_rates(1, 0.8, 0.6)
+    def test_first_round_is_the_fresh_oo_row(self):
+        # A fresh state has settled nothing: round 1 splits as an oo round
+        # on the unsquared coefficients, bit for bit.
+        axis = np.array(EDGES + (0.1, 0.3, 0.8, 0.999))
+        a, d = np.meshgrid(axis, axis, indexing="ij")
+        for x, z in [(a, d)] + [(float(x), float(z)) for x, z in zip(a.flat, d.flat)]:
+            r, p = branch_rates(1, x, z), round1_probabilities(x, z)
+            got = np.array([r.oo_ee, r.oo_eo, r.oo_oe, r.oo_oo])
+            assert got.tobytes() == np.array([p.ee, p.eo, p.oe, p.oo]).tobytes(), (x, z)
 
 
 class TestSuccessEvaluators:
@@ -327,3 +334,120 @@ class TestPoolYield:
     def test_rounds_validated(self):
         with pytest.raises(ValueError):
             pool_expected_yield(0, 0.8, 0.6)
+
+
+# float.hex of round 1's split (ee, eo, oe, oo) and, per round count k, of
+# (round_success_unrolled(k), total_success(k), pool_expected_yield(k)),
+# recorded while round 1 had its own code apart from ``branch_rates``.  The
+# golden grid CSV pins 12 digits; these pin every bit.
+FROZEN_HEX = {
+    (0.8, 0.6): (
+        ("0x1.3a92a30553260p-3", "0x1.54c985f06f694p-3", "0x1.4e3bcd35a8589p-2", "0x1.6a161e4f765ffp-2"),
+        {
+            1: ("0x1.3a92a30553260p-3", "0x1.3a92a30553260p-3", "0x1.3a92a30553260p-4"),
+            2: ("0x1.fabb8f4a9acacp-4", "0x1.1bf835555045bp-2", "0x1.b94186d7f9d8bp-4"),
+            3: ("0x1.2858df571b664p-5", "0x1.4103514033b28p-2", "0x1.cbc714cd6b8f2p-4"),
+            10: ("0x0.0p+0", "0x1.47ae147ae147cp-2", "0x1.cd69c58dcbf03p-4"),
+            50: ("0x0.0p+0", "0x1.47ae147ae147cp-2", "0x1.cd69c58dcbf03p-4"),
+        },
+    ),
+    (1e-12, 0.5): (
+        ("0x1.19799812dd6b9p-40", "0x1.19799812dd6b9p-40", "0x1.fffffffffb9a2p-2", "0x1.fffffffffb9a2p-2"),
+        {
+            1: ("0x1.19799812dd6b9p-40", "0x1.19799812dd6b9p-40", "0x1.19799812dd6b9p-41"),
+            2: ("0x1.19799812e10c1p-41", "0x1.a636641c4df1ap-40", "0x1.5fd7fe1795ae9p-41"),
+            3: ("0x1.19799812dea11p-42", "0x1.ec94ca210599ep-40", "0x1.716f9798c398ap-41"),
+            10: ("0x1.19799812dea11p-49", "0x1.193339acd9e97p-39", "0x1.774cb34f063a7p-41"),
+            50: ("0x1.19799812dea11p-89", "0x1.19799812dea0dp-39", "0x1.774ccac3d2e6bp-41"),
+        },
+    ),
+    (0.5 + 1e-12, 0.5): (
+        ("0x1.0000000000000p-2",) * 4,
+        {
+            1: ("0x1.0000000000000p-2", "0x1.0000000000000p-2", "0x1.0000000000000p-3"),
+            2: ("0x1.4000000000000p-2", "0x1.2000000000000p-1", "0x1.a000000000000p-3"),
+            3: ("0x1.a000000000000p-3", "0x1.8800000000000p-1", "0x1.d400000000000p-3"),
+            10: ("0x1.ff40000000000p-10", "0x1.ff00200000000p-1", "0x1.e79e24a000000p-3"),
+            50: ("0x1.fffffffffb9a3p-51", "0x1.fffffffffb99ap-1", "0x1.e79e79e79e79ep-3"),
+        },
+    ),
+    (0.3, 0.999): (
+        ("0x1.b7f6260c841d5p-11", "0x1.ad387fce416c1p-2", "0x1.2fc86f9aed81fp-10", "0x1.285dde578eb23p-1"),
+        {
+            1: ("0x1.b7f6260c841d5p-11", "0x1.b7f6260c841d5p-11", "0x1.b7f6260c841d5p-12"),
+            2: ("0x1.3fcae3c20849fp-12", "0x1.2bedcbf6c4213p-10", "0x1.03f46f7e8317ep-11"),
+            3: ("0x1.c54fe59c35308p-15", "0x1.3a184b23a5cabp-10", "0x1.077f0f49bb824p-11"),
+            10: ("0x1.cc99610231f82p-636", "0x1.3a92a30553291p-10", "0x1.078e580c42b90p-11"),
+            50: ("0x0.0p+0", "0x1.3a92a30553291p-10", "0x1.078e580c42b90p-11"),
+        },
+    ),
+}
+
+
+class TestFrozenBits:
+    """Every bit of the closed form at a few points, as floats and in one
+    array call."""
+
+    @pytest.mark.parametrize("arrays", [False, True], ids=["floats", "arrays"])
+    def test_values_keep_their_bits(self, arrays):
+        a, d = np.array(list(FROZEN_HEX)).T
+        for i, (point, (want_r1, want_k)) in enumerate(FROZEN_HEX.items()):
+            x, z = (a, d) if arrays else point
+            pick = (lambda v: float(v[i])) if arrays else float
+            p = round1_probabilities(x, z)
+            assert [pick(v).hex() for v in (p.ee, p.eo, p.oe, p.oo)] == list(want_r1), point
+            for k, want in want_k.items():
+                evaluators = (round_success_unrolled, total_success, pool_expected_yield)
+                got = [pick(f(k, x, z)).hex() for f in evaluators]
+                assert got == list(want), (point, k)
+
+
+def decimal_chain(alpha_sq: float, delta_sq: float, rounds: int) -> np.ndarray:
+    """Mass over (done, eo, oe, oo) after each of rounds 1..``rounds``, one
+    row per round, by the squaring recursion and the absorbing chain in
+    80-digit ``decimal``; shares no code or rounding with ``analytics``.
+
+    A fresh state enters round 1 as an oo state, and every round runs the
+    same two checks on the coefficients of the round before, squared.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        one, two = decimal.Decimal(1), decimal.Decimal(2)
+        a, c = decimal.Decimal(alpha_sq), decimal.Decimal(delta_sq)
+        done, eo, oe, oo = decimal.Decimal(0), decimal.Decimal(0), decimal.Decimal(0), one
+        rows = []
+        for _ in range(rounds):
+            pol_s, spa_s = two * a * (one - a), two * c * (one - c)
+            pol_f, spa_f = a * a + (one - a) ** 2, c * c + (one - c) ** 2
+            done, eo, oe, oo = (
+                done + eo * spa_s + oe * pol_s + oo * pol_s * spa_s,
+                eo * spa_f + oo * pol_s * spa_f,
+                oe * pol_f + oo * spa_s * pol_f,
+                oo * pol_f * spa_f,
+            )
+            rows.append([float(v) for v in (done, eo, oe, oo)])
+            a, c = a * a / (a * a + (one - a) ** 2), c * c / (c * c + (one - c) ** 2)
+        return np.array(rows)
+
+
+class TestDecimalReference:
+    """The float evaluators against an 80-digit run of the same iteration."""
+
+    @pytest.mark.parametrize(
+        "axis", [EDGES, (0.1, 0.3, 0.6, 0.8, 0.95, 0.999)], ids=["edges", "interior"]
+    )
+    def test_chain_and_total_success(self, axis):
+        rounds = 200
+        a, d = np.meshgrid(axis, axis, indexing="ij")
+        ref = np.array([decimal_chain(x, z, rounds) for x, z in zip(a.flat, d.flat)])
+        ref = ref.transpose(1, 2, 0).reshape(rounds, 4, *a.shape)
+        dist = initial_distribution(a, d)
+        worst = 0.0
+        for k in range(1, rounds + 1):
+            if k > 1:
+                dist = markov_evolve(dist, k, a, d)
+            got = np.array([dist.done, dist.eo, dist.oe, dist.oo])
+            worst = max(worst, float(np.max(np.abs(got - ref[k - 1]))))
+        for k in (1, 2, 3, 10, 50):
+            worst = max(worst, float(np.max(np.abs(total_success(k, a, d) - ref[k - 1, 0]))))
+        assert worst <= 1e-13

@@ -37,7 +37,7 @@ from hyperconc import (
     run_scheme_b_round,
     tensor,
 )
-from hyperconc import cli, measurement, protocol, sampling
+from hyperconc import analytics, cli, measurement, protocol, sampling
 from hyperconc.analytics import initial_distribution, markov_evolve, round_success_unrolled
 from hyperconc.protocol import (
     FAMILIES,
@@ -313,21 +313,31 @@ class TestBatchedEqualsReference:
             assert got.uniform() == want.uniform(), seed
 
 
-@pytest.mark.parametrize("n", [2, 4], ids=["a-2", "a-4"])
-def test_batched_round_matches_dense_rounds(n):
+@pytest.mark.parametrize(
+    "n, a, d, seen",
+    [(2, 0.8, 0.6, 4), (4, 0.8, 0.6, 4), (3, 0.3, 5.0000000000000244e-15, 2)],
+    ids=["a-2", "a-4", "a-3-unequal-counts"],
+)
+def test_batched_round_matches_dense_rounds(n, a, d, seen):
     """A batched scheme-a round partitions its members by branch, and every
     member's branch, success and stream position are those of its own dense
-    round on the same substream."""
-    g = ghz(n, 0.8, 0.6)
+    round on the same substream.  At (0.3, 5e-15) the spatial check is
+    certain after one polarization outcome only, so the two outcomes draw
+    different counts."""
+    g = ghz(n, a, d)
     trials = 2000
     master = RandomSource(n)
     streams = master.derive_block(0, trials)
     members = np.arange(trials)
     odds = sampling._round_odds(g, protocol.ancilla(g))
+    # unequal counts where the spatial check is certain after one outcome,
+    # which leaves branches unseen
+    assert (odds.draws[0] != odds.draws[1]) == (seen < 4)
     found = odds.branches(sampling._round_rows(odds, streams, members))
     branches = {BranchClass(f): members[found == v] for v, f in enumerate(FAMILIES)}
     assert np.array_equal(np.sort(np.concatenate(list(branches.values()))), members)
-    assert len(branches[BranchClass.EE]) > 0
+    # every branch the round takes with odds above 1e-3 occurs
+    assert sum(len(m) > 0 for m in branches.values()) == seen
     for branch, m in branches.items():
         for t in m.tolist():
             rng = master.derive(t)
@@ -544,6 +554,26 @@ def test_protocol_is_the_dense_reference():
             continue
         for module in modules:
             assert "sampling" not in module.split("."), module
+
+
+def test_closed_form_imports_only_errors():
+    """Route 1 shares no code with the other two: ``analytics`` takes nothing
+    from the package but ``errors``."""
+    tree = ast.parse(Path(analytics.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            # relative: a module of the package, or names taken from one
+            inside = [node.module] if node.module else [a.name for a in node.names]
+            modules = [f"hyperconc.{module}" for module in inside]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            if module.split(".")[0] == "hyperconc":
+                assert module == "hyperconc.errors", module
 
 
 def test_pool_reads_out_no_photon(monkeypatch):

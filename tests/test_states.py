@@ -13,9 +13,12 @@ from hyperconc import (
     DofAmplitudes,
     FullState,
     GhzForm,
+    RandomSource,
     apply_single_photon_gate,
     full_to_ghz,
     ghz_to_full,
+    iterate_scheme_a,
+    iterate_scheme_b_pool,
     tensor,
 )
 from hyperconc import states
@@ -118,15 +121,34 @@ class TestPhotonCount:
         got = exact_iteration_tree("b", 2, 0.8, 0.6, np.int64(3))
         assert got == exact_iteration_tree("b", 2, 0.8, 0.6, 3)
         # a bool or a float count is refused by name, not run or crashed on
+        g = ghz(2, 0.8, 0.6)
         for name, call in [
             ("photon count", lambda c: enumerate_scheme("a", c, 0.8, 0.6)),
             ("max_rounds", lambda c: exact_iteration_tree("a", 2, 0.8, 0.6, c)),
             ("max_rounds", lambda c: mc_estimate("a", 2, 0.8, 0.6, c, 100)),
             ("trials", lambda c: mc_estimate("a", 2, 0.8, 0.6, 2, c)),
+            ("max_rounds", lambda c: iterate_scheme_a(g, c, RandomSource(1))),
+            ("max_rounds", lambda c: iterate_scheme_b_pool(4, g, c, RandomSource(1))),
+            ("count", lambda c: iterate_scheme_b_pool(c, g, 2, RandomSource(1))),
         ]:
-            for count in (True, 2.0, np.float64(2.0)):
+            for count in (True, 2.0, np.float64(2.0), 2.5):
                 with pytest.raises(ValueError, match=rf"{name} must be an integer in \[1, "):
                     call(count)
+        # the pool's own floor comes after the count rule
+        with pytest.raises(ValueError, match="at least two copies"):
+            iterate_scheme_b_pool(np.int64(1), g, 2, RandomSource(1))
+
+    def test_seeds_take_the_count_rule_from_zero(self):
+        # a report embeds the seed it sampled, as an int
+        report = mc_estimate("a", 2, 0.8, 0.6, 3, 100, np.int64(1))
+        assert report == mc_estimate("a", 2, 0.8, 0.6, 3, 100, 1)
+        assert type(report.seed) is int
+        assert type(RandomSource(np.uint8(0)).seed) is int
+        for seed in (True, 1.5, 1.0, -1, np.int64(-1)):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, "):
+                RandomSource(seed)
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, "):
+                mc_estimate("a", 2, 0.8, 0.6, 3, 100, seed)
 
 
 class TestFullState:
