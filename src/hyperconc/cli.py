@@ -23,8 +23,8 @@ import numpy as np
 
 from . import analytics, oracle, sampling
 from .errors import ConsistencyError
-from .protocol import classify_residual, BranchClass
-from .states import DofAmplitudes, GhzForm, PHOTON_CAP
+from .protocol import BranchClass, check_scheme, classify_residual
+from .states import DofAmplitudes, GhzForm
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,8 +34,10 @@ EXIT_IO = 3
 # Upper limits on the work of one invocation, checked before anything is
 # computed.  At the grid limits a sweep takes 3-4 s and peaks at 65 MiB RSS
 # (10,201 points at 50 rounds, in one array call) on a 2-core x86 machine.
-# With the photon cap, the simulate limits admit scheme a at n=9 over 50
-# rounds and 10**6 trials, the slowest run measured: 13-18 s, 96 MiB.
+# simulate and enumerate bound --n by the one size rule of both, the photon
+# cap of ``protocol.check_scheme``.  At that cap the simulate limits admit
+# scheme a at n=9 over 50 rounds and 10**6 trials, the slowest run measured:
+# 8-18 s, 101 MiB; enumerate at the cap takes 0.3 s and up to 119 MiB.
 GRID_MAX_RESOLUTION = 101
 GRID_MAX_ROUNDS = 50
 SIMULATE_MAX_TRIALS = 1_000_000
@@ -115,24 +117,15 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_photon_budget(scheme: str, n: int, cap: int) -> None:
-    total = n + (1 if scheme == "a" else n)
-    _require(
-        total <= cap,
-        f"scheme {scheme} with n={n} simulates {total} photons, over the cap of {cap}",
-    )
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     _check_unit("--alpha-sq", args.alpha_sq)
     _check_unit("--delta-sq", args.delta_sq)
-    _require(args.n >= 2, "--n must be at least 2")
+    check_scheme(args.scheme, args.n)
     _check_range("--rounds", args.rounds, 1, SIMULATE_MAX_ROUNDS)
     _check_range("--trials", args.trials, 1, SIMULATE_MAX_TRIALS)
     _check_seed(args.seed)
     if args.scheme == "b":
         _require(args.trials >= 2, "scheme b pools need at least 2 trials (copies)")
-    _check_photon_budget(args.scheme, args.n, PHOTON_CAP)
     report = sampling.mc_estimate(
         args.scheme, args.n, args.alpha_sq, args.delta_sq, args.rounds, args.trials, args.seed
     )
@@ -156,8 +149,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     _check_unit("--alpha-sq", args.alpha_sq)
     _check_unit("--delta-sq", args.delta_sq)
-    _require(args.n >= 2, "--n must be at least 2")
-    _check_photon_budget(args.scheme, args.n, oracle.ORACLE_PHOTON_CAP)
+    check_scheme(args.scheme, args.n)
     tree = oracle.enumerate_scheme(args.scheme, args.n, args.alpha_sq, args.delta_sq)
     doc = {
         "scheme": tree.scheme,

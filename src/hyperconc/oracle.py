@@ -26,8 +26,6 @@ from .measurement import (
 from .protocol import BranchClass, check_scheme
 from .states import Dof, FullState, _bit_shift, _photon_count, _repunit
 
-ORACLE_PHOTON_CAP = 8
-
 
 def _ghz_vector(n: int, pol: tuple[float, float], spa: tuple[float, float]) -> FullState:
     amps = np.zeros(4**n, dtype=np.complex128)
@@ -170,10 +168,7 @@ def enumerate_scheme(scheme: str, n: int, alpha_sq: float, delta_sq: float) -> O
     ``alpha_sq`` and ``delta_sq`` are the squared first coefficients of the
     working state; amplitudes are taken real and nonnegative.
     """
-    check_scheme(scheme)
-    n = _photon_count(n, math.inf)
-    if n < 2:
-        raise ValueError("the working state needs at least two photons")
+    n, n_resource = check_scheme(scheme, n)
 
     def clamp(name: str, p: float) -> float:
         # Marginals fed back from enumerated states may overshoot by rounding.
@@ -183,11 +178,6 @@ def enumerate_scheme(scheme: str, n: int, alpha_sq: float, delta_sq: float) -> O
 
     alpha_sq = clamp("alpha_sq", alpha_sq)
     delta_sq = clamp("delta_sq", delta_sq)
-    n_resource = 1 if scheme == "a" else n
-    if n + n_resource > ORACLE_PHOTON_CAP:
-        raise ValueError(
-            f"{n + n_resource} photons exceed the enumeration cap of {ORACLE_PHOTON_CAP}"
-        )
 
     a, b = math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq)
     c, d = math.sqrt(delta_sq), math.sqrt(1.0 - delta_sq)

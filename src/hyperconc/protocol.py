@@ -41,6 +41,7 @@ from .measurement import (
 )
 from .states import (
     BALANCED,
+    PHOTON_CAP,
     Dof,
     DofAmplitudes,
     FullState,
@@ -58,11 +59,25 @@ from .states import (
 SCHEMES = ("a", "b")
 
 
-def check_scheme(scheme: str) -> str:
-    """Return ``scheme`` if it names scheme a or b, else raise ``ValueError``."""
+def check_scheme(scheme: str, n: int) -> tuple[int, int]:
+    """The one size rule of a round: ``(n, n_resource)`` as ``int``, where
+    ``n_resource`` is the photon count of the resource (1 for scheme a's
+    ancilla, ``n`` for scheme b's second copy).
+
+    ``ValueError`` when ``scheme`` names neither scheme, ``n`` is not an
+    integer of at least 2 (see :func:`~hyperconc.states._photon_count`), or
+    the working state and its resource together exceed ``PHOTON_CAP``.
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    return scheme
+    n = _photon_count(n, math.inf, low=2)
+    n_resource = 1 if scheme == "a" else n
+    if n + n_resource > PHOTON_CAP:
+        raise ValueError(
+            f"scheme {scheme} with n={n} simulates {n + n_resource} photons, "
+            f"over the cap of {PHOTON_CAP}"
+        )
+    return n, n_resource
 
 
 class BranchClass(Enum):
@@ -151,8 +166,7 @@ def run_scheme_a_round(state: GhzForm, rng: RandomSource) -> RoundResult:
     against photon 0 in both degrees of freedom and then read out
     diagonally.
     """
-    if state.n < 2:
-        raise ValueError("scheme A needs at least two photons in the working state")
+    check_scheme("a", state.n)
     return _dense_round(state, ancilla(state), rng)
 
 
@@ -165,8 +179,7 @@ def run_scheme_b_round(copy1: GhzForm, copy2: GhzForm, rng: RandomSource) -> Rou
     """
     if copy1.n != copy2.n:
         raise ValueError("the two copies must have equal photon counts")
-    if copy1.n < 2:
-        raise ValueError("scheme B needs at least two photons per copy")
+    check_scheme("b", copy1.n)
     for x, y in zip(
         (copy1.pol.first, copy1.pol.second, copy1.spa.first, copy1.spa.second),
         (copy2.pol.first, copy2.pol.second, copy2.spa.first, copy2.spa.second),

@@ -299,8 +299,7 @@ def iterate_scheme_b_pool(
     if count < 2:
         raise ValueError("the pool needs at least two copies")
     max_rounds = _photon_count(max_rounds, math.inf, "max_rounds")
-    if template.n < 2:
-        raise ValueError("scheme B needs at least two photons per copy")
+    check_scheme("b", template.n)
     buckets: dict[int, tuple[GhzForm, int]] = {0: (template, count)}
     leftover = [0] * len(FAMILIES)  # per settled mask
     table = _round_table(flip_copy)
@@ -361,7 +360,7 @@ def mc_estimate(
     ``residual_class_counts`` tallies unconcentrated terminal states by
     family: eo polarization settled, oe spatial settled, oo neither.
     """
-    check_scheme(scheme)
+    n = check_scheme(scheme, n)[0]
     trials = _photon_count(trials, math.inf, "trials")
     max_rounds = _photon_count(max_rounds, math.inf, "max_rounds")
     if trials > _SPAWN_LIMIT:

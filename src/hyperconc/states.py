@@ -221,14 +221,16 @@ def _repunit(n: int) -> int:
 
 def ghz_to_full(g: GhzForm) -> FullState:
     """Materialize a GhzForm as a dense state vector."""
-    r = _repunit(g.n)
+    # Checked before the 4**n vector is allocated, by FullState's own rule.
+    n = _photon_count(g.n, PHOTON_CAP)
+    r = _repunit(n)
     pol, spa = g.pol, g.spa  # complex amplitudes (see DofAmplitudes)
-    amps = np.zeros(4**g.n, dtype=np.complex128)
+    amps = np.zeros(4**n, dtype=np.complex128)
     amps[0] = pol.first * spa.first  # all |H>, all |u>
     amps[r] = pol.second * spa.first  # all |V>, all |u>
     amps[2 * r] = pol.first * spa.second  # all |H>, all |d>
     amps[3 * r] = pol.second * spa.second  # all |V>, all |d>
-    return FullState(g.n, amps)
+    return FullState(n, amps)
 
 
 def full_to_ghz(state: FullState) -> GhzForm:

@@ -451,3 +451,36 @@ class TestDecimalReference:
         for k in (1, 2, 3, 10, 50):
             worst = max(worst, float(np.max(np.abs(total_success(k, a, d) - ref[k - 1, 0]))))
         assert worst <= 1e-13
+
+
+def settled_within(k: int, p: float) -> float:
+    """Chance that one degree of freedom with first coefficient ``p`` comes
+    out even within ``k`` rounds, written here from the physics alone: each
+    round's check is even with chance 2 p (1 - p), and an odd outcome squares
+    the pair and renormalizes it."""
+    unsettled = 1.0
+    for _ in range(k):
+        unsettled *= 1.0 - 2.0 * p * (1.0 - p)
+        p = p * p / (p * p + (1.0 - p) ** 2)
+    return 1.0 - unsettled
+
+
+class TestOutsideAnchors:
+    """The closed form against facts that do not come from the protocol's
+    own recursion: the two degrees of freedom settle independently, and no
+    local protocol turns one copy into a maximally entangled state with a
+    higher chance than 2 min(p, 1 - p) per degree of freedom (G. Vidal, PRL
+    83, 1046 (1999)), the limit scheme a's iteration approaches."""
+
+    def test_factorizes_and_approaches_the_single_copy_optimum(self):
+        rng = np.random.default_rng(26)
+        a = np.concatenate([np.repeat(EDGES, 8), rng.uniform(0.0, 1.0, 40)])
+        d = np.concatenate([np.tile(EDGES, 8), rng.uniform(0.0, 1.0, 40)])
+        optimum = 4.0 * np.minimum(a, 1.0 - a) * np.minimum(d, 1.0 - d)
+        away = (np.abs(a - 0.5) >= 0.05) & (np.abs(d - 0.5) >= 0.05)
+        for k in (1, 2, 3, 10, 50):
+            got = total_success(k, a, d)
+            product = np.array([settled_within(k, x) * settled_within(k, z) for x, z in zip(a, d)])
+            assert np.max(np.abs(got - product)) <= 1e-15, k
+            assert np.max(got - optimum) <= 1e-15, k
+        assert np.max(np.abs(got - optimum)[away]) <= 1e-14

@@ -236,9 +236,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("scheme, n", [("a", 9), ("b", 5)])
     def test_photon_cap_bounds_n(self, scheme, n, capsys, monkeypatch):
-        # At the rounds and trial limits, the largest n within the photon cap
-        # (10 photons) reaches the (stubbed) work; one more exits 1 with one
-        # error line before any work starts.
+        # The largest n within the photon cap (10 photons) reaches the
+        # (stubbed) work of simulate, at the rounds and trial limits, and of
+        # enumerate; one more exits 1 with one error line before any work
+        # starts.
         class Started(Exception):
             pass
 
@@ -246,15 +247,17 @@ class TestExitCodes:
             raise Started
 
         monkeypatch.setattr(sampling, "mc_estimate", start)
-        argv = ["simulate", "--scheme", scheme, "--alpha-sq", "0.8", "--delta-sq", "0.6",
-                "--rounds", str(cli.SIMULATE_MAX_ROUNDS),
-                "--trials", str(cli.SIMULATE_MAX_TRIALS), "--n"]
-        with pytest.raises(Started):
-            cli.main(argv + [str(n)])
-        assert cli.main(argv + [str(n + 1)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: scheme {scheme} with n={n + 1} simulates "), err
-        assert err.endswith("over the cap of 10\n") and err.count("\n") == 1, err
+        monkeypatch.setattr(oracle, "enumerate_scheme", start)
+        point = ["--scheme", scheme, "--alpha-sq", "0.8", "--delta-sq", "0.6"]
+        limits = ["--rounds", str(cli.SIMULATE_MAX_ROUNDS),
+                  "--trials", str(cli.SIMULATE_MAX_TRIALS)]
+        for argv in (["simulate"] + point + limits, ["enumerate"] + point):
+            with pytest.raises(Started):
+                cli.main(argv + ["--n", str(n)])
+            assert cli.main(argv + ["--n", str(n + 1)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: scheme {scheme} with n={n + 1} simulates "), err
+            assert err.endswith("over the cap of 10\n") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize(
         "command,seed",

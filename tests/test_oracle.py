@@ -4,22 +4,25 @@ These are the reference implementations the analytics module is checked
 against, so the tests here freeze their raw numbers independently.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from hyperconc import BranchClass
+from hyperconc import BranchClass, DofAmplitudes, GhzForm, oracle, protocol, sampling, states
 from hyperconc.analytics import (
     grid_axis,
     initial_distribution,
     markov_evolve,
     pool_expected_yield,
+    round1_probabilities,
     round_success_unrolled,
     total_success,
 )
 from hyperconc.oracle import enumerate_scheme, exact_iteration_tree
 from hyperconc.sampling import mc_estimate
+from hyperconc.states import flip_copy
 
 FROZEN_ROUND1 = {
     BranchClass.EE: 0.1536,
@@ -101,17 +104,77 @@ class TestEnumeration:
         assert leaf.sequence[1] in ("spa_even", "spa_odd")
         assert all(lbl in ("++", "+-", "-+", "--") for lbl in leaf.sequence[2:])
 
-    def test_photon_cap(self):
-        with pytest.raises(ValueError):
-            enumerate_scheme("a", 9, 0.8, 0.6)  # ancilla join exceeds the cap
-        with pytest.raises(ValueError):
-            enumerate_scheme("b", 5, 0.8, 0.6)  # 10 photons, the first over the cap
+    def test_photon_cap(self, monkeypatch):
+        # (a, 9) and (b, 5) reach the cap of 10 photons and are enumerated
+        # (see TestAtThePhotonCap); one photon more is refused by the size
+        # rule before any dense vector is built.
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} used before the photon cap check")
+
+        monkeypatch.setattr(oracle, "np", NoNumpy())
+        monkeypatch.setattr(states, "np", NoNumpy())
+        for scheme, n, total in [("a", 10, 11), ("b", 6, 12)]:
+            message = rf"scheme {scheme} with n={n} simulates {total} photons, over the cap of 10"
+            with pytest.raises(ValueError, match=message):
+                enumerate_scheme(scheme, n, 0.8, 0.6)
 
     def test_scheme_and_size_validated(self):
         with pytest.raises(ValueError):
             enumerate_scheme("c", 2, 0.8, 0.6)
         with pytest.raises(ValueError):
             enumerate_scheme("a", 1, 0.8, 0.6)
+
+
+# The largest working states the photon cap admits: 10 photons each.
+AT_CAP = [("a", 9), ("b", 5)]
+CAP_INTERIOR = [(0.8, 0.6), (0.3, 0.9)]
+# Degenerate and near-balanced coefficients, and CI's forced point, where
+# the spatial check is certain after one polarization outcome only.
+CAP_EDGES = [(1e-12, 0.5), (0.999, 0.001), (0.3, 5.0000000000000244e-15)]
+
+
+@functools.lru_cache(maxsize=None)
+def round1_at_cap(scheme, n, a, d):
+    """A 10-photon tree's class masses and pruned mass.  Only these are
+    kept: the leaf states of one tree take 64 MiB."""
+    tree = enumerate_scheme(scheme, n, a, d)
+    return {branch: tree.class_mass(branch) for branch in BranchClass}, tree.dropped_mass
+
+
+class TestAtThePhotonCap:
+    """Every size ``simulate`` admits is enumerated.  Where the bounds
+    below are above rounding, the gap is mass pruned at
+    ``MIN_BRANCH_PROBABILITY``, which the tree reports as
+    ``dropped_mass``."""
+
+    @pytest.mark.parametrize("a, d", CAP_INTERIOR + CAP_EDGES)
+    @pytest.mark.parametrize("scheme, n", AT_CAP)
+    def test_round1_class_masses(self, scheme, n, a, d):
+        masses, dropped = round1_at_cap(scheme, n, a, d)
+        want = round1_probabilities(a, d)
+        for branch, mass in masses.items():
+            assert abs(mass - getattr(want, branch.value)) <= dropped + 1e-13, branch
+
+    @pytest.mark.parametrize("a, d", CAP_INTERIOR + CAP_EDGES)
+    @pytest.mark.parametrize("scheme, n", AT_CAP)
+    def test_round1_split_matches_the_samplers_odds(self, scheme, n, a, d):
+        masses, dropped = round1_at_cap(scheme, n, a, d)
+        g = GhzForm(
+            n, DofAmplitudes.from_first_probability(a), DofAmplitudes.from_first_probability(d)
+        )
+        odds = sampling._round_odds(g, protocol.ancilla(g) if scheme == "a" else flip_copy(g))
+        for branch, mass in masses.items():
+            e, s = (int(c == "e") for c in branch.value)
+            p_pol = odds.p_pol if e else 1.0 - odds.p_pol
+            p_spa = odds.p_spa[e] if s else 1.0 - odds.p_spa[e]
+            assert abs(mass - p_pol * p_spa) <= dropped + 1e-13, branch
+
+    @pytest.mark.parametrize("a, d", CAP_INTERIOR)
+    def test_iteration_tree(self, a, d):
+        per_round = exact_iteration_tree("a", 9, a, d, 6)
+        for k, got in enumerate(per_round, start=1):
+            assert abs(got - round_success_unrolled(k, a, d)) <= 1e-10, k
 
 
 class TestIterationTree:

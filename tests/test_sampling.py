@@ -348,6 +348,20 @@ def test_batched_round_matches_dense_rounds(n, a, d, seen):
             assert rng.uniform() == streams.uniforms(1, np.array([t]))[0, 0], t
 
 
+@pytest.mark.parametrize("scheme, n", [("b", 5), ("a", 9)])
+def test_ci_forced_point_draws_unequal_counts(scheme, n):
+    """CI runs the slowest admitted simulate of each scheme at (0.3, 5e-15)
+    so that the spatial check is certain after one polarization outcome
+    only: the pool must then walk its pairs one at a time.  No golden file
+    pins those runs, so the round's odds are pinned here."""
+    g = ghz(n, 0.3, 5.0000000000000244e-15)
+    odds = sampling._round_odds(g, protocol.ancilla(g) if scheme == "a" else flip_copy(g))
+    assert 0.0 < odds.p_pol < 1.0
+    certain, uncertain = sorted(odds.p_spa)
+    assert certain == 0.0 and 0.0 < uncertain < 1.0, odds.p_spa
+    assert abs(odds.draws[0] - odds.draws[1]) == 1, odds.draws
+
+
 @pytest.mark.parametrize("a, d", [(0.0, 0.5), (0.5, 0.5), (0.9, 1e-12),
                                   (0.3, 5.0000000000000244e-15)])
 def test_block_leaves_each_stream_where_its_trace_ends(a, d):
@@ -407,7 +421,8 @@ EDGE_SQUARE = (0.0, 1e-300, 1e-12, 0.5 - 1e-12, 0.5, 0.5 + 1e-12, 1.0 - 1e-12, 1
 class TestTableChain:
     """The round table's odds and residuals, chained with the samplers'
     retry rule, give the closed form's per-round success and the Markov
-    chain's residual masses, beyond the oracle's photon and round caps."""
+    chain's residual masses, up to the photon cap and beyond the oracle's
+    round cap."""
 
     @pytest.mark.parametrize("scheme, n", [("a", 2), ("a", 3), ("b", 2)])
     def test_per_round_success_on_the_edge_square(self, scheme, n):

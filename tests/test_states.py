@@ -19,6 +19,7 @@ from hyperconc import (
     ghz_to_full,
     iterate_scheme_a,
     iterate_scheme_b_pool,
+    run_scheme_a_round,
     tensor,
 )
 from hyperconc import states
@@ -36,6 +37,13 @@ from hyperconc.states import (
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 MINUS = DofAmplitudes(INV_SQRT2, -INV_SQRT2)  # balanced, relative sign -1
+
+
+class NoNumpy:
+    """Stands in for ``states.np`` where no array may be allocated yet."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used before the photon cap check")
 
 
 def ghz(n, alpha_sq, delta_sq):
@@ -120,19 +128,21 @@ class TestPhotonCount:
         assert type(tree.n) is int
         got = exact_iteration_tree("b", 2, 0.8, 0.6, np.int64(3))
         assert got == exact_iteration_tree("b", 2, 0.8, 0.6, 3)
-        # a bool or a float count is refused by name, not run or crashed on
+        # a bool or a float count is refused by name, not run or crashed on;
+        # a round's working state takes the size rule, from 2 photons
         g = ghz(2, 0.8, 0.6)
-        for name, call in [
-            ("photon count", lambda c: enumerate_scheme("a", c, 0.8, 0.6)),
-            ("max_rounds", lambda c: exact_iteration_tree("a", 2, 0.8, 0.6, c)),
-            ("max_rounds", lambda c: mc_estimate("a", 2, 0.8, 0.6, c, 100)),
-            ("trials", lambda c: mc_estimate("a", 2, 0.8, 0.6, 2, c)),
-            ("max_rounds", lambda c: iterate_scheme_a(g, c, RandomSource(1))),
-            ("max_rounds", lambda c: iterate_scheme_b_pool(4, g, c, RandomSource(1))),
-            ("count", lambda c: iterate_scheme_b_pool(c, g, 2, RandomSource(1))),
+        for name, low, call in [
+            ("photon count", 2, lambda c: enumerate_scheme("a", c, 0.8, 0.6)),
+            ("photon count", 2, lambda c: mc_estimate("b", c, 0.8, 0.6, 2, 100)),
+            ("max_rounds", 1, lambda c: exact_iteration_tree("a", 2, 0.8, 0.6, c)),
+            ("max_rounds", 1, lambda c: mc_estimate("a", 2, 0.8, 0.6, c, 100)),
+            ("trials", 1, lambda c: mc_estimate("a", 2, 0.8, 0.6, 2, c)),
+            ("max_rounds", 1, lambda c: iterate_scheme_a(g, c, RandomSource(1))),
+            ("max_rounds", 1, lambda c: iterate_scheme_b_pool(4, g, c, RandomSource(1))),
+            ("count", 1, lambda c: iterate_scheme_b_pool(c, g, 2, RandomSource(1))),
         ]:
             for count in (True, 2.0, np.float64(2.0), 2.5):
-                with pytest.raises(ValueError, match=rf"{name} must be an integer in \[1, "):
+                with pytest.raises(ValueError, match=rf"{name} must be an integer in \[{low}, "):
                     call(count)
         # the pool's own floor comes after the count rule
         with pytest.raises(ValueError, match="at least two copies"):
@@ -172,6 +182,20 @@ class TestFullState:
     def test_photon_cap(self):
         with pytest.raises(ValueError):
             FullState(PHOTON_CAP + 1, np.zeros(4 ** (PHOTON_CAP + 1), dtype=complex))
+
+    def test_cap_checked_before_allocation(self, monkeypatch):
+        """A 20-photon form would need 4**20 amplitudes (16 TiB): every
+        entry point refuses it with ``ValueError`` before any numpy call of
+        ``states`` allocates."""
+        big = GhzForm(20, BALANCED, BALANCED)
+
+        monkeypatch.setattr(states, "np", NoNumpy())
+        with pytest.raises(ValueError, match=rf"in \[1, {PHOTON_CAP}\], got 20"):
+            ghz_to_full(big)
+        with pytest.raises(ValueError, match="over the cap of 10"):
+            run_scheme_a_round(big, RandomSource(1))
+        with pytest.raises(ValueError, match="over the cap of 10"):
+            mc_estimate("a", 20, 0.8, 0.6, 1, 10)
 
 
 @pytest.mark.parametrize(
@@ -340,10 +364,6 @@ class TestTensor:
 
     def test_cap_checked_before_allocation(self, monkeypatch):
         big = ghz_to_full(maximal_ghz(6))
-
-        class NoNumpy:
-            def __getattr__(self, name):
-                raise AssertionError(f"np.{name} used before the photon cap check")
 
         monkeypatch.setattr(states, "np", NoNumpy())
         with pytest.raises(ValueError, match="exceeds cap of 10"):
