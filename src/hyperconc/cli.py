@@ -67,6 +67,13 @@ def _check_seed(seed: int) -> None:
     _require(seed >= 0, f"--seed must lie in [0, inf), got {seed}")
 
 
+def _check_n(scheme: str, n: int) -> None:
+    # check_scheme's own refusal of n < 2 names the photon count, not the
+    # option; its cap refusal names n.
+    _require(n >= 2, f"--n must be at least 2, got {n}")
+    check_scheme(scheme, n)
+
+
 def _check_unit(name: str, value: float) -> float:
     _require(0.0 <= value <= 1.0, f"{name} must lie in [0, 1], got {value}")
     return value
@@ -120,7 +127,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     _check_unit("--alpha-sq", args.alpha_sq)
     _check_unit("--delta-sq", args.delta_sq)
-    check_scheme(args.scheme, args.n)
+    _check_n(args.scheme, args.n)
     _check_range("--rounds", args.rounds, 1, SIMULATE_MAX_ROUNDS)
     _check_range("--trials", args.trials, 1, SIMULATE_MAX_TRIALS)
     _check_seed(args.seed)
@@ -149,7 +156,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     _check_unit("--alpha-sq", args.alpha_sq)
     _check_unit("--delta-sq", args.delta_sq)
-    check_scheme(args.scheme, args.n)
+    _check_n(args.scheme, args.n)
     tree = oracle.enumerate_scheme(args.scheme, args.n, args.alpha_sq, args.delta_sq)
     doc = {
         "scheme": tree.scheme,

@@ -162,23 +162,26 @@ class OutcomeTree:
         return pol / mass, spa / mass
 
 
-def enumerate_scheme(scheme: str, n: int, alpha_sq: float, delta_sq: float) -> OutcomeTree:
-    """Walk every outcome of one round and classify each terminal state.
+def _clamp(name: str, p: float) -> float:
+    # Marginals fed back from enumerated states may overshoot by rounding.
+    if -1e-12 <= p <= 1.0 + 1e-12:
+        return min(max(float(p), 0.0), 1.0)
+    raise ValueError(f"{name} must lie in [0, 1], got {p}")
 
-    ``alpha_sq`` and ``delta_sq`` are the squared first coefficients of the
-    working state; amplitudes are taken real and nonnegative.
+
+def _leaf_columns(
+    n: int, n_resource: int, alpha_sq: float, delta_sq: float
+) -> tuple[float, tuple[list, ...], tuple]:
+    """Walk every outcome of one round up to its per-leaf numbers.
+
+    Returns ``(dropped, columns, cut)``: the pruned mass; the kept leaves'
+    columns in leaf order, as lists (branch class, probability, success
+    flag, ``pol_sq``, ``spa_sq``); and what the leaf labels and states are
+    cut from: the surviving parity branches (as ``_parity_branches``
+    returns them), each kept leaf's branch and readout column, the
+    corrected readout block, each kept leaf's conditional probability and
+    the branches' live rows.
     """
-    n, n_resource = check_scheme(scheme, n)
-
-    def clamp(name: str, p: float) -> float:
-        # Marginals fed back from enumerated states may overshoot by rounding.
-        if -1e-12 <= p <= 1.0 + 1e-12:
-            return min(max(float(p), 0.0), 1.0)
-        raise ValueError(f"{name} must lie in [0, 1], got {p}")
-
-    alpha_sq = clamp("alpha_sq", alpha_sq)
-    delta_sq = clamp("delta_sq", delta_sq)
-
     a, b = math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq)
     c, d = math.sqrt(delta_sq), math.sqrt(1.0 - delta_sq)
     working = _ghz_vector(n, (a, b), (c, d))
@@ -188,14 +191,17 @@ def enumerate_scheme(scheme: str, n: int, alpha_sq: float, delta_sq: float) -> O
 
     # The working and resource states are products of GHZ pairs, and the two
     # parity projections are diagonal, so each surviving branch holds
-    # amplitude on at most four of the 4**n working rows.
+    # amplitude on at most four of the 4**n working rows.  The joint vector
+    # is the flattened outer product, which has the bytes of np.kron.
     dropped, branches, live, live_rows = _parity_branches(
-        FullState._adopt(n + n_resource, np.kron(working.amplitudes, resource.amplitudes)),
+        FullState._adopt(
+            n + n_resource, np.multiply.outer(working.amplitudes, resource.amplitudes).ravel()
+        ),
         n,
         n_resource,
     )
     n_live = live_rows.size
-    labels, pol_odd, spa_odd = _readout_patterns(n_resource)
+    _, pol_odd, spa_odd = _readout_patterns(n_resource)
 
     # Read every resource photon out in one pass over the live rows of all
     # branches, followed by one all-+0 row per photon-0 digit (its
@@ -245,29 +251,47 @@ def enumerate_scheme(scheme: str, n: int, alpha_sq: float, delta_sq: float) -> O
     kept = weights > MIN_BRANCH_PROBABILITY
     dropped += float(np.sum(weights[~kept]))
 
+    where, cols = np.nonzero(kept)
+    p = probs[where, cols]
+    columns = (
+        [branches[b][1] for b in where.tolist()],
+        weights[where, cols].tolist(),
+        (fid_num[where, cols] / p >= 1.0 - 1e-10).tolist(),
+        (pol_masses[where, cols] / p).tolist(),
+        (spa_masses[where, cols] / p).tolist(),
+    )
+    return dropped, columns, (branches, where, cols, corrected, p, live_rows)
+
+
+def enumerate_scheme(scheme: str, n: int, alpha_sq: float, delta_sq: float) -> OutcomeTree:
+    """Walk every outcome of one round and classify each terminal state.
+
+    ``alpha_sq`` and ``delta_sq`` are the squared first coefficients of the
+    working state; amplitudes are taken real and nonnegative.
+    """
+    n, n_resource = check_scheme(scheme, n)
+    alpha_sq = _clamp("alpha_sq", alpha_sq)
+    delta_sq = _clamp("delta_sq", delta_sq)
+    dropped, columns, cut = _leaf_columns(n, n_resource, alpha_sq, delta_sq)
+    branches, where, cols, corrected, p, live_rows = cut
+    labels = _readout_patterns(n_resource)[0]
+
     # Leaf states: divide the compressed rows, then gather them into dense
     # rows.  The rows of photon-0 digit d are the d-th contiguous quarter,
     # and each row without amplitude is that digit's class row.
-    where, cols = np.nonzero(kept)
-    p = probs[where, cols]
+    n_live = live_rows.size
     scaled = corrected[:, cols].T / np.sqrt(p)[:, None]
     dense = np.repeat(scaled[:, n_live:], 4 ** (n - 1), axis=1)
     leaf, slot = np.nonzero(live_rows[where] >= 0)
     owner = where[leaf]
     dense[leaf, live_rows[owner, slot]] = scaled[leaf, owner * live_rows.shape[1] + slot]
     leaves = [
-        OutcomeLeaf(branches[b][0] + labels[col], prob, branches[b][1], ok, pol_sq, spa_sq, state)
-        for b, col, prob, ok, pol_sq, spa_sq, state in zip(
-            where.tolist(),
-            cols.tolist(),
-            weights[where, cols].tolist(),
-            (fid_num[where, cols] / p >= 1.0 - 1e-10).tolist(),
-            (pol_masses[where, cols] / p).tolist(),
-            (spa_masses[where, cols] / p).tolist(),
-            FullState._from_rows(n, dense),
+        OutcomeLeaf(branches[b][0] + labels[col], prob, branch, ok, pol_sq, spa_sq, state)
+        for b, col, branch, prob, ok, pol_sq, spa_sq, state in zip(
+            where.tolist(), cols.tolist(), *columns, FullState._from_rows(n, dense)
         )
     ]
-    return OutcomeTree(scheme, n, float(alpha_sq), float(delta_sq), tuple(leaves), dropped)
+    return OutcomeTree(scheme, n, alpha_sq, delta_sq, tuple(leaves), dropped)
 
 
 def exact_iteration_tree(
@@ -286,9 +310,11 @@ def exact_iteration_tree(
     of freedom comes out even, so the first round only succeeds on ee and a
     coefficient that merely starts at one half earns no credit.  This is the
     retry accounting of the iteration drivers, reproduced here on enumerated
-    masses alone.
+    masses alone.  Each round reads the leaves' columns and builds no leaf
+    state.
     """
     max_rounds = _photon_count(max_rounds, 6, "max_rounds")
+    n, n_resource = check_scheme(scheme, n)
     agree_tol = 1e-9
     # (pol settled?, spa settled?) -> (mass, pol_sq, spa_sq)
     entries: dict[tuple[bool, bool], tuple[float, float, float]] = {
@@ -296,33 +322,35 @@ def exact_iteration_tree(
     }
     per_round: list[float] = []
 
-    def absorb(tree: OutcomeTree, mass: float, pol_fixed: bool, spa_fixed: bool) -> float:
+    def absorb(columns: tuple[list, ...], mass: float, pol_fixed: bool, spa_fixed: bool) -> float:
         success = 0.0
-        for leaf in tree.leaves:
-            if mass * leaf.probability <= MIN_BRANCH_PROBABILITY:
+        for branch, probability, succeeded, pol_sq, spa_sq in zip(*columns):
+            if mass * probability <= MIN_BRANCH_PROBABILITY:
                 continue
-            pol_even = leaf.branch in (BranchClass.EE, BranchClass.EO)
-            spa_even = leaf.branch in (BranchClass.EE, BranchClass.OE)
+            pol_even = branch in (BranchClass.EE, BranchClass.EO)
+            spa_even = branch in (BranchClass.EE, BranchClass.OE)
             if (pol_fixed or pol_even) and (spa_fixed or spa_even):
-                if not leaf.succeeded:
+                if not succeeded:
                     raise ConsistencyError("a leaf counted as success is not maximal")
-                success += mass * leaf.probability
+                success += mass * probability
                 continue
             key = (pol_fixed or pol_even, spa_fixed or spa_even)
             if key in entries:
                 m0, p0, s0 = entries[key]
-                if abs(p0 - leaf.pol_sq) > agree_tol or abs(s0 - leaf.spa_sq) > agree_tol:
+                if abs(p0 - pol_sq) > agree_tol or abs(s0 - spa_sq) > agree_tol:
                     raise ConsistencyError("residual coefficients disagree within one pool")
-                entries[key] = (m0 + mass * leaf.probability, p0, s0)
+                entries[key] = (m0 + mass * probability, p0, s0)
             else:
-                entries[key] = (mass * leaf.probability, leaf.pol_sq, leaf.spa_sq)
+                entries[key] = (mass * probability, pol_sq, spa_sq)
         return success
 
     for _ in range(max_rounds):
         current, entries = entries, {}
         p_round = 0.0
         for (pol_fixed, spa_fixed), (mass, pol_sq, spa_sq) in current.items():
-            tree = enumerate_scheme(scheme, n, pol_sq, spa_sq)
-            p_round += absorb(tree, mass, pol_fixed, spa_fixed)
+            columns = _leaf_columns(
+                n, n_resource, _clamp("alpha_sq", pol_sq), _clamp("delta_sq", spa_sq)
+            )[1]
+            p_round += absorb(columns, mass, pol_fixed, spa_fixed)
         per_round.append(p_round)
     return per_round

@@ -234,6 +234,14 @@ class TestExitCodes:
         assert err.startswith(f"error: {option} must lie in [") and err.count("\n") == 1, err
         assert err.endswith(f", {limit}], got {limit + 1}\n"), err
 
+    @pytest.mark.parametrize("command", ["simulate", "enumerate"])
+    @pytest.mark.parametrize("scheme, n", [("a", 1), ("b", 0), ("a", -3)])
+    def test_too_few_photons_names_the_option(self, command, scheme, n, capsys):
+        argv = [command, "--scheme", scheme, "--n", str(n), "--alpha-sq", "0.8",
+                "--delta-sq", "0.6"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: --n must be at least 2, got {n}\n"
+
     @pytest.mark.parametrize("scheme, n", [("a", 9), ("b", 5)])
     def test_photon_cap_bounds_n(self, scheme, n, capsys, monkeypatch):
         # The largest n within the photon cap (10 photons) reaches the
@@ -314,15 +322,19 @@ class TestConsistencyErrors:
         return code, err
 
     @staticmethod
-    def patch_leaves(monkeypatch, edit):
-        enumerate_scheme = oracle.enumerate_scheme
+    def patch_column(monkeypatch, column, edit):
+        # The oracle's per-leaf columns, which both enumerate_scheme and
+        # exact_iteration_tree read: (branch class, probability, success
+        # flag, pol_sq, spa_sq).
+        leaf_columns = oracle._leaf_columns
 
-        def patched(*args, **kwargs):
-            tree = enumerate_scheme(*args, **kwargs)
-            leaves = tuple(edit(i, leaf) for i, leaf in enumerate(tree.leaves))
-            return dataclasses.replace(tree, leaves=leaves)
+        def patched(*args):
+            dropped, columns, cut = leaf_columns(*args)
+            columns = list(columns)
+            columns[column] = [edit(i, value) for i, value in enumerate(columns[column])]
+            return dropped, tuple(columns), cut
 
-        monkeypatch.setattr(oracle, "enumerate_scheme", patched)
+        monkeypatch.setattr(oracle, "_leaf_columns", patched)
 
     def test_trial_zero_replay_mismatch(self, monkeypatch, capsys):
         monkeypatch.setattr(sampling, "iterate_scheme_a",
@@ -338,14 +350,12 @@ class TestConsistencyErrors:
         assert code == 2 and "fully settled state survived" in err
 
     def test_success_leaf_not_maximal(self, monkeypatch, capsys):
-        self.patch_leaves(monkeypatch, lambda i, leaf: dataclasses.replace(leaf, succeeded=False))
+        self.patch_column(monkeypatch, 2, lambda i, succeeded: False)
         code, err = self.run(["verify", "--quick"], capsys)
         assert code == 2 and "not maximal" in err
 
     def test_residual_coefficients_disagree(self, monkeypatch, capsys):
-        self.patch_leaves(
-            monkeypatch, lambda i, leaf: dataclasses.replace(leaf, pol_sq=leaf.pol_sq + 1e-6 * i)
-        )
+        self.patch_column(monkeypatch, 3, lambda i, pol_sq: pol_sq + 1e-6 * i)
         code, err = self.run(["verify", "--quick"], capsys)
         assert code == 2 and "coefficients disagree" in err
 
